@@ -11,7 +11,8 @@ Packages:
 * :mod:`repro.sdk` — Intel SGX SDK analogue (EDL, URTS, TRTS, sync).
 * :mod:`repro.perf` — the paper's contribution: logger, working set
   estimator, analyser.
-* :mod:`repro.crypto` — from-scratch crypto used by the workloads.
+* :mod:`repro.crypto` — stdlib-backed SHA-256/HMAC, a stream cipher and
+  their virtual-time cost model, used by the workloads.
 * :mod:`repro.workloads` — the four evaluated applications.
 * :mod:`repro.bench` — experiment harness regenerating every table/figure.
 """

@@ -1,17 +1,16 @@
 """Fast keyed stream cipher used on simulator hot paths.
 
-Workloads like SecureKeeper encrypt every request payload.  Running the
-from-scratch AES over megabytes of simulated traffic would dominate *real*
-(host) time without changing any simulated result, so hot paths use this
-xorshift-based keystream instead: keyed, deterministic, self-inverse, and
-paired with the AES-CTR *cost model* for virtual time.
+Workloads like SecureKeeper encrypt every request payload.  This
+xorshift-based keystream is keyed, deterministic and self-inverse, and is
+charged in virtual time as AES-CTR (:func:`repro.crypto.cost.stream_cost_ns`).
 
 This is NOT a secure cipher and is not presented as one — it is a
-cost-faithful stand-in.  The real AES-128-CTR (:mod:`repro.crypto.aes`)
-is used where data volumes are small (session establishment, tests).
+cost-faithful stand-in.
 """
 
 from __future__ import annotations
+
+import struct
 
 from repro.crypto.sha256 import sha256
 
@@ -30,22 +29,12 @@ def _keystream_words(seed: int, count: int):
 def stream_xor(key: bytes, nonce: bytes, data: bytes) -> bytes:
     """Encrypt/decrypt ``data`` (self-inverse) under ``key``/``nonce``.
 
-    The seed is derived via (real) SHA-256 so distinct keys and nonces
-    yield unrelated keystreams.
+    The seed is derived via SHA-256 so distinct keys and nonces yield
+    unrelated keystreams.
     """
     seed = int.from_bytes(sha256(key + nonce)[:8], "big")
-    words = (len(data) + 7) // 8
-    keystream = b"".join(
-        w.to_bytes(8, "big") for w in _keystream_words(seed, words)
-    )
-    return bytes(a ^ b for a, b in zip(data, keystream))
-
-
-# Virtual cost: matches AES-CTR on the modelled CPU (see repro.crypto.aes).
-STREAM_SETUP_NS = 300
-STREAM_NS_PER_BYTE = 0.6
-
-
-def stream_cost_ns(nbytes: int) -> int:
-    """Virtual cost of one stream_xor pass over ``nbytes``."""
-    return int(STREAM_SETUP_NS + STREAM_NS_PER_BYTE * nbytes)
+    n = len(data)
+    words = (n + 7) // 8
+    keystream = struct.pack(f">{words}Q", *_keystream_words(seed, words))
+    mixed = int.from_bytes(data, "big") ^ int.from_bytes(keystream[:n], "big")
+    return mixed.to_bytes(n, "big")

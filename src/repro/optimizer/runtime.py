@@ -29,7 +29,7 @@ from typing import Any, Optional
 
 from repro.optimizer.plan import ECHO, OptimizationPlan
 from repro.sdk import constants as sdkc
-from repro.sdk.edl import Direction, EnclaveDefinition
+from repro.sdk.edl import Direction, EnclaveDefinition, copied_bytes
 
 
 class InterfaceRuntime:
@@ -125,14 +125,8 @@ class InterfaceRuntime:
 
     def _request_bytes(self, decl: Any, args: tuple) -> int:
         """Marshalled size of one buffered request (8-byte slot header)."""
-        args_by_name = {p.name: v for p, v in zip(decl.params, args)}
-        total = 8
-        for param, value in zip(decl.params, args):
-            if param.direction in (Direction.IN, Direction.INOUT):
-                total += param.resolve_size(args_by_name, value)
-            elif param.direction is Direction.VALUE:
-                total += 8
-        return total
+        by_value = sum(p.direction is Direction.VALUE for p in decl.params[: len(args)])
+        return 8 + copied_bytes(decl.copies_in, args) + 8 * by_value
 
     def flush_batches(self, ctx: Any) -> int:
         """Flush every non-empty batch buffer (the flush ecall's body)."""

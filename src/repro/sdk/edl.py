@@ -30,6 +30,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Union
 
 
@@ -72,16 +73,86 @@ class Param:
         count = self.count
         if isinstance(count, str):
             count = args_by_name.get(count)
-        if isinstance(size, int):
-            total = size * (count if isinstance(count, int) else 1)
-            return max(0, int(total))
-        if isinstance(value, (bytes, bytearray, memoryview, str)):
-            return len(value)
-        return 8
+        return _sized(size, count, value)
+
+
+def _sized(size: object, count: object, value: object) -> int:
+    """:meth:`Param.resolve_size` once ``size=``/``count=`` references are resolved."""
+    if isinstance(size, int):
+        total = size * (count if isinstance(count, int) else 1)
+        return max(0, int(total))
+    if isinstance(value, (bytes, bytearray, memoryview, str)):
+        return len(value)
+    return 8
+
+
+# One entry of a copy plan: (argument position, byte size if the
+# declaration fixes it else None, declared size, position of the argument
+# ``size=`` names, declared count, position of the argument ``count=`` names).
+CopyEntry = tuple[int, Optional[int], Optional[int], Optional[int], Optional[int], Optional[int]]
+
+
+def _copy_plan(
+    params: tuple[Param, ...], directions: tuple[Direction, ...]
+) -> tuple[CopyEntry, ...]:
+    """Precompute how to size the parameters whose direction is in ``directions``.
+
+    Symbolic ``size=``/``count=`` qualifiers become argument positions, and
+    a size the declaration fixes is computed here once, so that
+    :func:`copied_bytes` needs no per-call name lookup.
+    """
+    positions = {param.name: i for i, param in enumerate(params)}
+
+    def reference(spec):
+        if isinstance(spec, str):
+            return None, positions.get(spec)
+        return spec, None
+
+    entries = []
+    for index, param in enumerate(params):
+        if param.direction not in directions:
+            continue
+        size, size_at = reference(param.size)
+        count, count_at = reference(param.count)
+        fixed = _sized(size, count, None) if isinstance(size, int) and count_at is None else None
+        entries.append((index, fixed, size, size_at, count, count_at))
+    return tuple(entries)
+
+
+def copied_bytes(plan: tuple[CopyEntry, ...], args: tuple) -> int:
+    """Bytes a call with ``args`` copies: :meth:`Param.resolve_size` summed over ``plan``."""
+    n = len(args)
+    total = 0
+    for index, fixed, size, size_at, count, count_at in plan:
+        if index >= n:
+            break
+        if fixed is not None:
+            total += fixed
+            continue
+        if size_at is not None:
+            size = args[size_at] if size_at < n else None
+        if count_at is not None:
+            count = args[count_at] if count_at < n else None
+        total += _sized(size, count, args[index])
+    return total
+
+
+class _Marshalled:
+    """The copy plans of a declaration, built on first use."""
+
+    @cached_property
+    def copies_in(self) -> tuple[CopyEntry, ...]:
+        """Parameters copied toward the callee: ``[in]`` and ``[in, out]``."""
+        return _copy_plan(self.params, (Direction.IN, Direction.INOUT))
+
+    @cached_property
+    def copies_out(self) -> tuple[CopyEntry, ...]:
+        """Parameters copied back toward the caller: ``[out]`` and ``[in, out]``."""
+        return _copy_plan(self.params, (Direction.OUT, Direction.INOUT))
 
 
 @dataclass(frozen=True)
-class EcallDecl:
+class EcallDecl(_Marshalled):
     """A trusted function reachable from the untrusted application."""
 
     name: str
@@ -96,7 +167,7 @@ class EcallDecl:
 
 
 @dataclass(frozen=True)
-class OcallDecl:
+class OcallDecl(_Marshalled):
     """An untrusted function reachable from inside the enclave."""
 
     name: str

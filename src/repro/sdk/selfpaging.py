@@ -18,8 +18,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional
 
+from repro.crypto.cost import stream_cost_ns
 from repro.crypto.hmac import hmac_sha256
-from repro.crypto.stream import stream_cost_ns, stream_xor
+from repro.crypto.stream import stream_xor
 from repro.sdk.trts import TrustedBuffer, TrustedContext
 
 # Copy between enclave and untrusted memory: plain memcpy, no transition.

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.sdk import constants as sdkc
-from repro.sdk.edl import Direction, EcallDecl, EnclaveDefinition, OcallDecl
+from repro.sdk.edl import EcallDecl, EnclaveDefinition, OcallDecl, copied_bytes
 from repro.sdk.errors import SgxError, SgxStatus
 from repro.sgx.enclave import Enclave, HeapAllocation, PageType
 from repro.sgx.execution import EnclaveExecution
@@ -188,7 +188,7 @@ class TrustedContext:
         index = definition.ocall_index(name)
         decl = definition.ocalls[index]
         self.compute(self.sim.rng.jitter_ns("trts:ocall-prep", sdkc.TRTS_OCALL_PREP_NS))
-        self._charge_copies(decl, args, Direction.IN)
+        self._charge_copies(decl.copies_in, args)
         self.execution.eexit()
         frame = OcallFrame(runtime=runtime, decl=decl)
         self.thread_state.frames.append(frame)
@@ -198,11 +198,11 @@ class TrustedContext:
             self.thread_state.frames.pop()
             self.execution.eenter()
         self.compute(self.sim.rng.jitter_ns("trts:ocall-resume", sdkc.TRTS_OCALL_RESUME_NS))
-        self._charge_copies(decl, args, Direction.OUT)
+        self._charge_copies(decl.copies_out, args)
         return result
 
-    def _charge_copies(self, decl: Any, args: tuple, direction: Direction) -> None:
-        total = _copy_bytes(decl, args, direction)
+    def _charge_copies(self, copies: tuple, args: tuple) -> None:
+        total = copied_bytes(copies, args)
         if total:
             self.execution.compute(self.urts.device.cpu.copy_cost_ns(total))
 
@@ -215,18 +215,6 @@ class TrustedContext:
     def condvar(self, name: str):
         """Get (or lazily create) a named SDK condition variable."""
         return self.runtime.condvar(name)
-
-
-def _copy_bytes(decl: Any, args: tuple, direction: Direction) -> int:
-    """Bytes crossing the boundary for params matching ``direction``."""
-    args_by_name = {
-        param.name: value for param, value in zip(decl.params, args)
-    }
-    total = 0
-    for param, value in zip(decl.params, args):
-        if param.direction is direction or param.direction is Direction.INOUT:
-            total += param.resolve_size(args_by_name, value)
-    return total
 
 
 class TrustedBridge:
@@ -258,9 +246,9 @@ class TrustedBridge:
         decl = definition.ecalls[index]
         ctx.compute(ctx.sim.rng.jitter_ns("trts:dispatch", sdkc.TRTS_ECALL_DISPATCH_NS))
         self._touch_code_page(ctx, index)
-        ctx._charge_copies(decl, args, Direction.IN)
+        ctx._charge_copies(decl.copies_in, args)
         result = self._impls[index](ctx, *args)
-        ctx._charge_copies(decl, args, Direction.OUT)
+        ctx._charge_copies(decl.copies_out, args)
         return result
 
     def invoke_local(self, ctx: TrustedContext, index: int, args: tuple) -> Any:
@@ -280,9 +268,9 @@ class TrustedBridge:
             ctx.sim.rng.jitter_ns("trts:switchless-dispatch", sdkc.SWITCHLESS_DISPATCH_NS)
         )
         self._touch_code_page(ctx, index)
-        ctx._charge_copies(decl, args, Direction.IN)
+        ctx._charge_copies(decl.copies_in, args)
         result = self._impls[index](ctx, *args)
-        ctx._charge_copies(decl, args, Direction.OUT)
+        ctx._charge_copies(decl.copies_out, args)
         return result
 
     def _touch_code_page(self, ctx: TrustedContext, index: int) -> None:

@@ -76,15 +76,17 @@ class EnclaveExecution:
         itself be interrupted — only remaining enclave work can.
         """
         remaining = int(duration_ns)
+        sim = self.sim
         while remaining > 0:
-            now = self.sim.now_ns
-            tick = self._next_tick_after(now)
-            run = min(remaining, tick - now)
-            if run > 0:
-                self.sim.compute(run)
-                remaining -= run
-            if remaining > 0:
-                self._aex(AexReason.INTERRUPT, c.INTERRUPT_HANDLER_NS)
+            now = sim.now_ns
+            to_tick = self._next_tick_after(now) - now  # always >= 1
+            if remaining <= to_tick:
+                # The slice ends at or before the next tick: no AEX.
+                sim.compute(remaining)
+                return
+            sim.compute(to_tick)
+            remaining -= to_tick
+            self._aex(AexReason.INTERRUPT, c.INTERRUPT_HANDLER_NS)
 
     def _next_tick_after(self, now_ns: int) -> int:
         period = self.timer.period_ns

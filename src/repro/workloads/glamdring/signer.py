@@ -24,8 +24,8 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.crypto.cost import sha256_cost_ns
 from repro.crypto.sha256 import sha256
-from repro.crypto.aes import sha256_cost_ns
 from repro.sdk.edger8r import EnclaveHandle, build_enclave
 from repro.sdk.trts import TrustedContext
 from repro.sdk.urts import Urts

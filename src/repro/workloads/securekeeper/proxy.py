@@ -20,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.crypto.cost import stream_cost_ns
 from repro.crypto.hmac import hkdf_like
-from repro.crypto.stream import stream_cost_ns, stream_xor
+from repro.crypto.stream import stream_xor
 from repro.sdk.edger8r import EnclaveHandle, build_enclave
 from repro.sdk.errors import EnclaveLostError, SgxError
 from repro.sdk.trts import TrustedBuffer, TrustedContext

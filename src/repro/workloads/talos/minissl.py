@@ -26,8 +26,9 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.crypto.cost import stream_cost_ns
 from repro.crypto.hmac import hkdf_like, hmac_sha256
-from repro.crypto.stream import stream_cost_ns, stream_xor
+from repro.crypto.stream import stream_xor
 from repro.sdk.trts import TrustedContext
 
 # Wire frame types.

@@ -10,6 +10,7 @@ from repro.sdk.edl import (
     EnclaveDefinition,
     OcallDecl,
     Param,
+    copied_bytes,
     format_edl,
     parse_edl,
 )
@@ -279,6 +280,71 @@ class TestDefinitionModel:
     def test_resolve_size_with_count(self):
         param = Param("buf", "x*", direction=Direction.IN, size=8, count="k")
         assert param.resolve_size({"k": 3}, None) == 24
+
+
+def _resolved_bytes(decl, args, direction):
+    """The copy-cost rule stated directly: resolve_size over matching params."""
+    args_by_name = {param.name: value for param, value in zip(decl.params, args)}
+    return sum(
+        param.resolve_size(args_by_name, value)
+        for param, value in zip(decl.params, args)
+        if param.direction in (direction, Direction.INOUT)
+    )
+
+
+class TestCopyPlan:
+    DECL = EcallDecl(
+        name="e",
+        params=(
+            Param("buf", "uint8_t*", direction=Direction.IN, size="n"),
+            Param("n", "size_t"),
+            Param("dst", "rec_t*", direction=Direction.OUT, size="s", count="c"),
+            Param("s", "size_t"),
+            Param("c", "size_t"),
+            Param("msg", "char*", direction=Direction.IN, is_string=True),
+            Param("raw", "void*", direction=Direction.USER_CHECK),
+            Param("io", "uint8_t*", direction=Direction.INOUT, size=16, count=2),
+            Param("blob", "uint8_t*", direction=Direction.INOUT, size="ghost"),
+        ),
+    )
+    ARGS = [
+        (b"abc", 100, None, 12, 3, "hello", object(), bytearray(4), memoryview(b"xyz")),
+        (b"abc", -5, None, 12, None, b"", None, None, 7),
+        (b"abc", "n", None, True, 0, None, None, None, None),
+        (b"abc", 4, b"xx"),  # fewer arguments than parameters
+        (),
+    ]
+
+    @pytest.mark.parametrize("args", ARGS)
+    @pytest.mark.parametrize("direction", [Direction.IN, Direction.OUT])
+    def test_plan_equals_resolve_size(self, args, direction):
+        plan = self.DECL.copies_in if direction is Direction.IN else self.DECL.copies_out
+        assert copied_bytes(plan, args) == _resolved_bytes(self.DECL, args, direction)
+
+    def test_plan_lists_copied_params_with_fixed_sizes(self):
+        assert [(entry[0], entry[1]) for entry in self.DECL.copies_in] == [
+            (0, None),  # [in, size=n]: sized by argument 1
+            (5, None),  # [in, string]: sized by its value
+            (7, 32),  # [in, out, size=16, count=2]: fixed by the declaration
+            (8, None),  # size= names no parameter: sized by its value
+        ]
+        assert [entry[0] for entry in self.DECL.copies_out] == [2, 7, 8]
+
+    def test_plan_is_built_once_per_declaration(self):
+        assert self.DECL.copies_in is self.DECL.copies_in
+        assert OcallDecl(name="o").copies_out == ()
+
+    @given(
+        st.lists(
+            st.one_of(st.none(), st.integers(-4, 64), st.binary(max_size=8), st.text(max_size=4)),
+            max_size=9,
+        )
+    )
+    def test_plan_equals_resolve_size_for_any_arguments(self, values):
+        args = tuple(values)
+        plans = ((Direction.IN, self.DECL.copies_in), (Direction.OUT, self.DECL.copies_out))
+        for direction, plan in plans:
+            assert copied_bytes(plan, args) == _resolved_bytes(self.DECL, args, direction)
 
 
 @given(

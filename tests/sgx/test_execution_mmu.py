@@ -110,6 +110,54 @@ class TestAexSlicing:
         assert execution.aex_count == before + 1
 
 
+class TestComputeSlices:
+    """Slicing at timer ticks, pinned to what the original loop produced.
+
+    With seed 3 and a 100 µs timer, the fixture's thread starts 65,104 ns
+    before a tick.  Each case lists the ``Simulation.compute`` durations
+    (enclave slices, then AEX save/handler/ERESUME per tick) and the
+    resulting clock and AEX count.
+    """
+
+    START_NS = 2_853_200
+    TO_TICK_NS = 65_104
+    CASES = {
+        "zero": (0, [], 2_853_200, 0),
+        "before-tick": (25_104, [25_104], 2_878_304, 0),
+        "on-tick": (65_104, [65_104], 2_918_304, 0),
+        "one-tick": (70_104, [65_104, 1_250, 2_445, 1_350, 5_000], 2_928_349, 1),
+        "three-ticks": (
+            270_104,
+            [65_104, 1_250, 2_445, 1_350, 94_955, 1_250, 2_694, 1_350]
+            + [94_706, 1_250, 2_242, 1_350, 15_339],
+            3_138_485,
+            3,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_slices_match_original_loop(self, setup, case):
+        process, device, enclave, execution = setup
+        sim = process.sim
+        duration, expected_calls, expected_now, expected_aex = self.CASES[case]
+        timer = device.timer
+        ticks = (sim.now_ns - timer.phase_ns) // timer.period_ns + 1
+        next_tick = timer.phase_ns + ticks * timer.period_ns
+        assert (sim.now_ns, next_tick - sim.now_ns) == (self.START_NS, self.TO_TICK_NS)
+        calls = []
+        compute = sim.compute
+
+        def recording_compute(duration_ns):
+            calls.append(duration_ns)
+            compute(duration_ns)
+
+        sim.compute = recording_compute
+        execution.compute(duration)
+        assert calls == expected_calls
+        assert sim.now_ns == expected_now
+        assert execution.aex_count == expected_aex
+
+
 class TestMmu:
     def test_access_allowed_page(self, setup):
         process, device, enclave, execution = setup
