@@ -227,6 +227,7 @@ def test_analyzer_weight_sensitivity(benchmark):
     between the permissive and strict extremes.
     """
     from repro.perf.analysis.detectors import AnalyzerWeights, detect_move_candidates
+    from repro.perf.columns import CallColumns
     from repro.perf.events import CallEvent, ECALL
 
     def make_trace():
@@ -251,7 +252,7 @@ def test_analyzer_weight_sensitivity(benchmark):
         return events
 
     def sweep():
-        events = make_trace()
+        calls = CallColumns.from_events(make_trace())
         counts = {}
         for scale, label in ((0.5, "permissive"), (1.0, "default"), (1.4, "strict")):
             weights = AnalyzerWeights(
@@ -259,7 +260,7 @@ def test_analyzer_weight_sensitivity(benchmark):
                 move_beta=min(0.50 * scale, 1.0),
                 move_gamma=min(0.65 * scale, 1.0),
             )
-            counts[label] = len(detect_move_candidates(events, 2_130, weights))
+            counts[label] = len(detect_move_candidates(calls, 2_130, weights))
         return counts
 
     counts = run_once(benchmark, sweep)

@@ -36,8 +36,12 @@ def main() -> None:
           f"distinct calls (paper: 61)")
     print(f"ocalls: {len(ocalls)} events, {len(ocalls) / result.requests:.1f} per "
           f"request (paper: 29.0)")
-    short_e = stats_mod.fraction_shorter_than(stats_mod.durations_ns(ecalls), 10_000)
-    short_o = stats_mod.fraction_shorter_than(stats_mod.durations_ns(ocalls), 10_000)
+    short_e = stats_mod.fraction_shorter_than(
+        trace.call_columns(kind="ecall").duration_ns(), 10_000
+    )
+    short_o = stats_mod.fraction_shorter_than(
+        trace.call_columns(kind="ocall").duration_ns(), 10_000
+    )
     print(f"short calls (<10us): {short_e:.1%} of ecalls (paper 60.78%), "
           f"{short_o:.1%} of ocalls (paper 73.69%)")
     print()

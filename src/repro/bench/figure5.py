@@ -67,10 +67,9 @@ def run_figure5(requests: int = 250, seed: int = 0) -> Figure5Result:
     run_talos_nginx(requests=requests, process=process, device=device, app=app)
     logger.uninstall()
     db = logger.finalize()
-    calls = db.calls()
-    ecalls = [c for c in calls if c.kind == "ecall"]
-    ocalls = [c for c in calls if c.kind == "ocall"]
-    graph = cg.build_call_graph(calls)
+    ecalls = db.call_columns(kind="ecall")
+    ocalls = db.call_columns(kind="ocall")
+    graph = cg.build_call_graph(db.call_columns())
     edges = sorted(
         (
             (graph.nodes[src]["name"], graph.nodes[dst]["name"], data["count"])
@@ -83,15 +82,15 @@ def run_figure5(requests: int = 250, seed: int = 0) -> Figure5Result:
         requests=requests,
         interface_ecalls=TOTAL_ECALLS,
         interface_ocalls=TOTAL_OCALLS,
-        distinct_ecalls_called=len({c.name for c in ecalls}),
-        distinct_ocalls_called=len({c.name for c in ocalls}),
+        distinct_ecalls_called=len(set(ecalls.name.tolist())),
+        distinct_ocalls_called=len(set(ocalls.name.tolist())),
         ecall_events=len(ecalls),
         ocall_events=len(ocalls),
         ecall_short_fraction=stats_mod.fraction_shorter_than(
-            stats_mod.durations_ns(ecalls), 10_000
+            ecalls.duration_ns(), 10_000
         ),
         ocall_short_fraction=stats_mod.fraction_shorter_than(
-            stats_mod.durations_ns(ocalls), 10_000
+            ocalls.duration_ns(), 10_000
         ),
         top_edges=edges,
         dot=cg.to_dot(graph),

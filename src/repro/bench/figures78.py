@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.perf.analysis import stats as stats_mod
+from repro.perf.columns import CallColumns
 from repro.perf.logger import AexMode, EventLogger
 from repro.sgx.device import SgxDevice
 from repro.sim.process import SimProcess
@@ -89,9 +90,10 @@ def run_figures_7_8(
     # Figure 7/8 show the request path; connect handshakes (with their
     # in-ecall sleeps) are a separate phase.
     request_calls = [c for c in client_calls if c.duration_ns < 60_000]
+    request_cols = CallColumns.from_events(request_calls)
     ecalls = db.calls(kind="ecall")
     ocalls = db.calls(kind="ocall")
-    starts, durations = stats_mod.scatter_series(request_calls)
+    starts, durations = stats_mod.scatter_series(request_cols)
     transition_us = device.cpu.transition_round_trip_ns / 1000.0
     return Figures78Result(
         operations=result.operations,
@@ -103,7 +105,7 @@ def run_figures_7_8(
         zk_mean_us=float(np.mean([c.duration_ns for c in zk_calls]) / 1000.0),
         transition_us=transition_us,
         sync_ocalls=sum(1 for c in ocalls if c.is_sync),
-        histogram=stats_mod.histogram(request_calls, bins=100),
+        histogram=stats_mod.histogram(request_cols, bins=100),
         scatter_starts_ns=starts,
         scatter_durations_ns=durations,
         verified_gets=result.verified_gets,

@@ -12,10 +12,6 @@ from repro.perf.analysis.detectors import (
     detect_reorder_candidates,
     detect_ssc,
 )
-from repro.perf.analysis.parents import (
-    compute_indirect_parents,
-    recompute_direct_parents,
-)
 from repro.perf.analysis.export import (
     FINDINGS_SCHEMA,
     finding_to_dict,
@@ -24,12 +20,6 @@ from repro.perf.analysis.export import (
     report_to_json,
 )
 from repro.perf.analysis.report import AnalysisReport, Analyzer
-from repro.perf.analysis.security import (
-    allowlist_findings,
-    observed_allow_sets,
-    private_ecall_candidates,
-    user_check_findings,
-)
 from repro.perf.analysis.stats import (
     CallStatistics,
     Histogram,
@@ -37,7 +27,6 @@ from repro.perf.analysis.stats import (
     compute_statistics,
     execution_durations_ns,
     fraction_shorter_than,
-    group_by_name,
     histogram,
     scatter_series,
 )
@@ -53,9 +42,7 @@ __all__ = [
     "Problem",
     "Recommendation",
     "all_statistics",
-    "allowlist_findings",
     "build_call_graph",
-    "compute_indirect_parents",
     "compute_statistics",
     "detect_merge_batch_candidates",
     "detect_move_candidates",
@@ -66,15 +53,10 @@ __all__ = [
     "execution_durations_ns",
     "finding_to_dict",
     "fraction_shorter_than",
-    "group_by_name",
     "histogram",
     "load_findings",
-    "observed_allow_sets",
-    "private_ecall_candidates",
-    "recompute_direct_parents",
     "report_to_dict",
     "report_to_json",
     "scatter_series",
     "to_dot",
-    "user_check_findings",
 ]

@@ -62,9 +62,7 @@ def _fold_shard(
     db = TraceDatabase(path, readonly=True)
     try:
         fold = CallFold(transition_ns, weights, sleep_counts)
-        for cols in db.call_columns_chunks(
-            chunk_events, thread_ids=thread_ids, order="thread"
-        ):
+        for cols in db.call_columns_chunks(chunk_events, thread_ids=thread_ids):
             fold.fold(cols)
         return fold.seal()
     finally:

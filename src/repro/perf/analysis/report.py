@@ -1,27 +1,33 @@
 """Human-readable analysis reports and the analyser facade (paper §4.3).
 
-:class:`Analyzer` pulls a trace out of a :class:`TraceDatabase`, runs the
-general statistics, every problem detector and the security analysis, and
-packages the result as an :class:`AnalysisReport` that renders to text.
+:func:`analyse_trace` runs the general statistics, every problem detector
+and the security analysis over one trace — the call fold of
+:mod:`repro.perf.analysis.streaming` plus passes over the sync, paging and
+fault tables — and packages the result as an :class:`AnalysisReport` that
+renders to text.  :class:`Analyzer` is the trace-in, report-out facade.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from repro.perf.analysis import callgraph as callgraph_mod
 from repro.perf.analysis import detectors as det
-from repro.perf.analysis import security as sec
 from repro.perf.analysis import stats as stats_mod
-from repro.perf.database import TraceDatabase
-from repro.perf.events import ECALL, OCALL
+from repro.perf.analysis.streaming import (
+    DEFAULT_TRANSITION_NS,
+    CallFold,
+    attribute_paging,
+    ecall_intervals,
+    fold_columns,
+    sync_summary,
+)
+from repro.perf.database import DEFAULT_CHUNK_EVENTS, TraceDatabase
 from repro.sdk.edl import EnclaveDefinition
 from repro.workloads.serving import percentile_ns
-
-DEFAULT_TRANSITION_NS = 2_130  # §2.3.1 baseline if the trace lacks metadata
 
 
 class FaultAccumulator:
@@ -31,8 +37,8 @@ class FaultAccumulator:
     offline analyser reproduces the numbers a live campaign reported:
     request counts, retries, shed/failed totals and nearest-rank latency
     percentiles parsed back out of ``serve:request`` details (``ok +N ns``).
-    Both the in-memory and streaming analysers fold through this class, so
-    the fault/availability sections cannot drift between them.  Per-request
+    The cluster SLO merge folds through this class too, so the offline
+    report and the cluster summary cannot drift apart.  Per-request
     latencies are retained until :meth:`availability` (the percentiles need
     the full ordered set); everything else is O(distinct kinds).
     """
@@ -128,11 +134,7 @@ def apply_fault_annotations(
     acc: FaultAccumulator,
     trace_state: Optional[str],
 ) -> None:
-    """Attach the fault/recovery section and notes to a report.
-
-    Shared by :class:`Analyzer` and the streaming analyser so both render
-    the exact same fault section for the same trace.
-    """
+    """Attach the fault/recovery section and notes to a report."""
     if not acc.total and trace_state is None:
         return
     counts = acc.counts
@@ -164,15 +166,6 @@ def apply_fault_annotations(
         report.notes.append(
             f"trace was {trace_state}: {report.truncated_calls} call(s) "
             "closed at the trace horizon, not by returning"
-        )
-
-
-def apply_edl_note(report: "AnalysisReport", definition) -> None:
-    """Append the no-EDL caveat (shared by both analyser paths)."""
-    if definition is None:
-        report.notes.append(
-            "no EDL supplied: allow-list narrowing reports minimal observed "
-            "sets; pass the enclave's EDL for removable-entry analysis"
         )
 
 
@@ -338,8 +331,90 @@ class AnalysisReport:
         return "\n".join(lines)
 
 
+def analyse_trace(
+    db: TraceDatabase,
+    definition: Optional[EnclaveDefinition],
+    weights: det.AnalyzerWeights,
+    chunk_events: int,
+    fold_calls: Callable[[int, dict[int, int]], CallFold],
+    intervals: Iterable[tuple[int, int, str]],
+) -> tuple["AnalysisReport", CallFold]:
+    """Run every analysis over one trace; returns the report and its fold.
+
+    ``fold_calls(transition_ns, sleep_counts)`` returns the sealed
+    :class:`~repro.perf.analysis.streaming.CallFold` over the trace's
+    calls.  ``intervals`` yields the ecalls' ``(start, end, name)``
+    in ``(start, id)`` order; it is only advanced on a trace with paging
+    rows.  The side tables are read in ``chunk_events``-row batches.
+    """
+    trace_state = db.get_meta("trace_state")
+    transition_ns = int(
+        db.get_meta("transition_round_trip_ns", str(DEFAULT_TRANSITION_NS))
+    )
+    sync = sync_summary(_rows(db.sync_rows_chunks(chunk_events)))
+    fold = fold_calls(transition_ns, sync["sleep_counts"])
+
+    findings: list[det.Finding] = []
+    findings += fold.reorder_findings()
+    findings += fold.merge_findings()
+    findings += fold.move_findings()
+    findings += det.ssc_finding_from_counts(
+        sync["total"],
+        sync["sleeps"],
+        sync["wakes"],
+        fold.ssc_matched,
+        fold.ssc_short,
+        sync["wake_matrix"],
+        weights,
+    )
+    affected, page_in, page_out, distinct_pages = attribute_paging(
+        _rows(db.paging_rows_chunks(chunk_events)), intervals
+    )
+    findings += det.paging_findings_from_counts(affected, page_in, page_out, distinct_pages)
+    findings += fold.security_findings(definition)
+
+    distinct_ecalls, distinct_ocalls = fold.distinct_counts()
+    report = AnalysisReport(
+        statistics=fold.statistics(),
+        findings=findings,
+        transition_round_trip_ns=transition_ns,
+        ecall_count=fold.ecall_rows,
+        ocall_count=fold.ocall_rows,
+        ecall_short_fraction=(
+            fold.ecall_short / fold.ecall_rows if fold.ecall_rows else 0.0
+        ),
+        ocall_short_fraction=(
+            fold.ocall_short / fold.ocall_rows if fold.ocall_rows else 0.0
+        ),
+        distinct_ecalls=distinct_ecalls,
+        distinct_ocalls=distinct_ocalls,
+        aex_total=fold.aex_total,
+        paging_events=page_in + page_out,
+    )
+    fault_acc = FaultAccumulator()
+    for fault in _rows(db.fault_events_chunks(chunk_events)):
+        fault_acc.add(fault)
+    apply_fault_annotations(report, fault_acc, trace_state)
+    if definition is None:
+        report.notes.append(
+            "no EDL supplied: allow-list narrowing reports minimal observed "
+            "sets; pass the enclave's EDL for removable-entry analysis"
+        )
+    return report, fold
+
+
+def _rows(chunks: Iterable[list]) -> Iterator:
+    for rows in chunks:
+        yield from rows
+
+
 class Analyzer:
-    """The sgx-perf analyser: trace database in, report out."""
+    """The sgx-perf analyser: trace database in, report out.
+
+    Reads the trace's call columns once and folds them as one unbounded
+    chunk; :class:`~repro.perf.analysis.streaming.StreamingAnalyzer` runs
+    the same fold over bounded chunks for traces too large to hold.
+    """
 
     def __init__(
         self,
@@ -351,12 +426,13 @@ class Analyzer:
         self.definition = definition
         self.weights = weights or det.AnalyzerWeights()
         self._cols = None
+        self._fold: Optional[CallFold] = None
 
     def _columns(self):
         """The trace's call columns, fetched once and shared.
 
-        The report summary, scatter series, histograms and call graph all
-        work off this one read instead of re-querying the database.
+        The fold, scatter series, histograms and call graph all work off
+        this one read instead of re-querying the database.
         """
         if self._cols is None:
             self._cols = self.db.call_columns()
@@ -364,54 +440,17 @@ class Analyzer:
 
     def run(self) -> AnalysisReport:
         """Run every analysis over the trace."""
-        calls = self._columns()
-        sync_events = self.db.sync_events()
-        paging = self.db.paging_events()
-        faults = self.db.fault_events()
-        trace_state = self.db.get_meta("trace_state")
-        transition_ns = int(
-            self.db.get_meta("transition_round_trip_ns", str(DEFAULT_TRANSITION_NS))
-        )
-        weights = self.weights
-
-        findings: list[det.Finding] = []
-        findings += det.detect_reorder_candidates(calls, weights)
-        findings += det.detect_merge_batch_candidates(calls, weights)
-        findings += det.detect_move_candidates(calls, transition_ns, weights)
-        findings += det.detect_ssc(calls, sync_events, weights)
-        findings += det.detect_paging(calls, paging)
-        findings += sec.private_ecall_candidates(calls)
-        findings += sec.allowlist_findings(calls, self.definition)
-        if self.definition is not None:
-            findings += sec.user_check_findings(self.definition, calls)
-
-        kinds = np.asarray(calls.kind, dtype=object)
-        ecalls = calls.select(kinds == ECALL)
-        ocalls = calls.select(kinds == OCALL)
-        ecall_exec = stats_mod.execution_durations_ns(ecalls, transition_ns)
-        ocall_exec = stats_mod.execution_durations_ns(ocalls, transition_ns)
-        report = AnalysisReport(
-            statistics=stats_mod.all_statistics(calls),
-            findings=findings,
-            transition_round_trip_ns=transition_ns,
-            ecall_count=len(ecalls),
-            ocall_count=len(ocalls),
-            ecall_short_fraction=stats_mod.fraction_shorter_than(
-                ecall_exec, weights.short_call_ns
+        cols = self._columns()
+        report, self._fold = analyse_trace(
+            self.db,
+            self.definition,
+            self.weights,
+            DEFAULT_CHUNK_EVENTS,
+            lambda transition_ns, sleep_counts: fold_columns(
+                cols, transition_ns, self.weights, sleep_counts
             ),
-            ocall_short_fraction=stats_mod.fraction_shorter_than(
-                ocall_exec, weights.short_call_ns
-            ),
-            distinct_ecalls=len(set(ecalls.name.tolist())),
-            distinct_ocalls=len(set(ocalls.name.tolist())),
-            aex_total=int(calls.aex_count.sum()),
-            paging_events=len(paging),
+            ecall_intervals(cols),
         )
-        fault_acc = FaultAccumulator()
-        for fault in faults:
-            fault_acc.add(fault)
-        apply_fault_annotations(report, fault_acc, trace_state)
-        apply_edl_note(report, self.definition)
         return report
 
     # -- visualisation helpers -------------------------------------------------
@@ -432,8 +471,12 @@ class Analyzer:
         return stats_mod.scatter_series(self._select(kind, name))
 
     def call_graph(self):
-        """Name-level call graph with direct/indirect edges (Figure 5)."""
-        return callgraph_mod.build_call_graph(self._columns())
+        """Name-level call graph with direct/indirect edges (Figure 5).
+
+        Comes from the last :meth:`run`'s fold, or a calls-only fold.
+        """
+        fold = self._fold or fold_columns(self._columns())
+        return fold.call_graph()
 
     def call_graph_dot(self) -> str:
         """Figure 5-style Graphviz DOT text."""

@@ -9,22 +9,18 @@ time only and compare directly to the transition cost, while ecall
 durations include one transition round-trip, which must be subtracted
 before such comparisons.
 
-Every entry point accepts either :class:`~repro.perf.columns.CallColumns`
-(the fast path — durations come out of the arrays directly) or the legacy
-``Sequence[CallEvent]`` form.
+Every entry point takes :class:`~repro.perf.columns.CallColumns`;
+durations come out of the arrays directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from repro.perf.columns import CallColumns, as_columns
-from repro.perf.events import CallEvent, ECALL
-
-Calls = Union[CallColumns, Sequence[CallEvent]]
+from repro.perf.columns import CallColumns
+from repro.perf.events import ECALL
 
 
 @dataclass(frozen=True)
@@ -87,40 +83,21 @@ class Histogram:
         return "\n".join(lines)
 
 
-def durations_ns(events: Calls) -> np.ndarray:
-    """Measured durations of ``events`` as an array."""
-    if isinstance(events, CallColumns):
-        return events.duration_ns()
-    return np.array([e.duration_ns for e in events], dtype=np.int64)
-
-
-def execution_durations_ns(events: Calls, transition_round_trip_ns: int) -> np.ndarray:
+def execution_durations_ns(events: CallColumns, transition_round_trip_ns: int) -> np.ndarray:
     """Durations adjusted to *execution* time.
 
     Ecall durations include one transition round-trip (§4.1.2); ocall
     durations already exclude it.
     """
-    values = durations_ns(events)
-    if isinstance(events, CallColumns):
-        is_ecall = len(events) > 0 and events.kind[0] == ECALL
-    else:
-        is_ecall = bool(events) and events[0].kind == ECALL
-    if is_ecall:
+    values = events.duration_ns()
+    if len(events) > 0 and events.kind[0] == ECALL:
         values = np.maximum(values - int(transition_round_trip_ns), 0)
     return values
 
 
-def group_by_name(events: Iterable[CallEvent]) -> dict[tuple[str, str], list[CallEvent]]:
-    """Group call events by ``(kind, name)`` (legacy event-object form)."""
-    groups: dict[tuple[str, str], list[CallEvent]] = {}
-    for event in events:
-        groups.setdefault((event.kind, event.name), []).append(event)
-    return groups
-
-
-def compute_statistics(kind: str, name: str, events: Calls) -> CallStatistics:
+def compute_statistics(kind: str, name: str, events: CallColumns) -> CallStatistics:
     """Summary statistics over one group of events."""
-    return _statistics_from_values(kind, name, durations_ns(events))
+    return _statistics_from_values(kind, name, events.duration_ns())
 
 
 def _statistics_from_values(kind: str, name: str, values: np.ndarray) -> CallStatistics:
@@ -142,38 +119,28 @@ def _statistics_from_values(kind: str, name: str, values: np.ndarray) -> CallSta
     )
 
 
-def all_statistics(events: Calls) -> list[CallStatistics]:
+def all_statistics(events: CallColumns) -> list[CallStatistics]:
     """Statistics for every distinct call, ordered by total time spent.
 
-    Ties keep first-appearance order (the event-based grouping's
-    dict-insertion semantics), so outputs are byte-identical across both
-    input forms.
+    Ties keep first-appearance order in ``(start, id)``.
     """
-    cols = as_columns(events)
-    values = cols.duration_ns()
-    stats = [
-        _statistics_from_values(kind, name, values[idx])
-        for (kind, name), idx in cols.group_indices()
-    ]
-    stats.sort(key=lambda s: s.total_ns, reverse=True)
-    return stats
+    from repro.perf.analysis.streaming import fold_columns
+
+    return fold_columns(events).statistics()
 
 
-def histogram(events: Calls, bins: int = 100) -> Histogram:
+def histogram(events: CallColumns, bins: int = 100) -> Histogram:
     """Execution-time histogram over a group of events (Figure 7)."""
-    values = durations_ns(events)
+    values = events.duration_ns()
     if len(values) == 0:
         return Histogram(counts=(), edges_ns=())
     counts, edges = np.histogram(values, bins=bins)
     return Histogram(counts=tuple(int(c) for c in counts), edges_ns=tuple(float(e) for e in edges))
 
 
-def scatter_series(events: Calls) -> tuple[np.ndarray, np.ndarray]:
+def scatter_series(events: CallColumns) -> tuple[np.ndarray, np.ndarray]:
     """(start time, duration) series over the run (Figure 8)."""
-    if isinstance(events, CallColumns):
-        return events.start_ns, events.duration_ns()
-    starts = np.array([e.start_ns for e in events], dtype=np.int64)
-    return starts, durations_ns(events)
+    return events.start_ns, events.duration_ns()
 
 
 def fraction_shorter_than(values: np.ndarray, threshold_ns: float) -> float:

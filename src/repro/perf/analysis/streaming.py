@@ -1,24 +1,32 @@
-"""Streaming (windowed-memory) analyser — the in-memory path's exact twin.
+"""The analyser's fold: every per-call analysis over column batches.
 
-The offline analyser materialises the whole trace; this module folds the
-same analyses over bounded-size column batches from
-:meth:`~repro.perf.database.TraceDatabase.call_columns_chunks` instead,
-so a multi-GB trace is analysed in O(window) transient memory plus the
-per-call-site accumulator state.
+:class:`CallFold` is the one implementation of the paper's per-call
+analyses (§4.3): general statistics, Equations 1–3, the call graph and
+the security sets.  It folds :class:`~repro.perf.columns.CallColumns`
+batches and keeps only per-call-site accumulator state, so the same code
+serves every way of feeding it:
 
-**Byte-identity is the contract.**  Every decision goes through the same
-``*_finding_from_counts`` builders as the in-memory detectors, and every
-float that appears in a report is reproduced exactly:
+* :class:`~repro.perf.analysis.report.Analyzer` folds the whole trace as
+  one unbounded chunk;
+* :class:`StreamingAnalyzer` folds bounded-size chunks from
+  :meth:`~repro.perf.database.TraceDatabase.call_columns_chunks`, so a
+  multi-GB trace is analysed in O(window) transient memory, optionally
+  sharded by thread across worker processes;
+* the column-level entry points (``detect_*``, ``all_statistics``,
+  ``build_call_graph``) fold their argument through :func:`fold_columns`.
+
+**Byte-identity across chunkings is the contract.**  Decisions go through
+the ``*_finding_from_counts`` builders, and every float that appears in a
+report is reproduced exactly whatever the chunk size or job count:
 
 * threshold *fractions* are accumulated as integer counts and divided
-  once (``(arr < t).mean()`` equals ``count / total`` for bool arrays);
+  once;
 * ecall *execution-time* thresholds use the identity
   ``max(d - T, 0) < t  ⇔  d < T + t`` so no subtracted array is kept;
 * per-call mean/std are order-dependent under NumPy's pairwise
   summation, so each call site keeps its raw ``(start, id, duration)``
-  triples (24 bytes/row — far below the materialised row tuples the
-  in-memory reader peaks at) and re-sorts them to the global
-  ``(start, id)`` reader order at finalise time.
+  triples (24 bytes/row) and re-sorts them to the global ``(start, id)``
+  reader order at finalise time.
 
 Batches must arrive **thread-major** (``ORDER BY thread_id, start_ns,
 id``): each thread is one contiguous run, so the direct-parent window and
@@ -26,18 +34,24 @@ the Figure 4 indirect-parent chains reset per thread and stay small.  The
 fold relies on the event logger's recording invariants — a call's direct
 parent is on the same thread and its interval encloses the child's start.
 
+Figure 4 indirect parents relate calls of the same kind that share a
+direct parent (top-level calls chain with top-level calls): within one
+``(thread, direct parent, kind)`` group, ordered by ``(start, id)``, each
+call's indirect parent is the one before it.
+
 A :class:`CallFold` is plain picklable state with a commutative
 :meth:`CallFold.merge`, which is what lets the parallel analyser shard a
 trace by thread across spawn-context workers and still match the
 sequential result exactly (see :mod:`repro.perf.analysis.parallel`).
 Detectors that need cross-thread global state — SSC sleep matching,
 paging attribution, fault/availability summaries — run as sequential
-coordinator passes over the (small) side tables instead.
+passes over the (small) side tables instead (:func:`sync_summary`,
+:func:`attribute_paging`).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import networkx as nx
 import numpy as np
@@ -47,20 +61,12 @@ from repro.perf.analysis import detectors as det
 from repro.perf.analysis import security as sec
 from repro.perf.analysis import stats as stats_mod
 from repro.perf.columns import NO_PARENT, CallColumns
-from repro.perf.events import ECALL, OCALL
+from repro.perf.events import ECALL, OCALL, SyncKind
 
-_SEP = "\x00"  # sorts below any name character: string sort == tuple sort
+DEFAULT_TRANSITION_NS = 2_130  # §2.3.1 baseline if the trace lacks metadata
 
-
-def _join2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.array([x + _SEP + y for x, y in zip(a, b)], dtype=object)
-
-
-def _join4(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    return np.array(
-        [w + _SEP + x + _SEP + y + _SEP + z for w, x, y, z in zip(a, b, c, d)],
-        dtype=object,
-    )
+_REORDER_LIMITS = (10_000, 20_000)
+_MERGE_LIMITS = (1_000, 5_000, 10_000, 20_000)
 
 
 class _GroupState:
@@ -153,6 +159,13 @@ class CallFold:
 
     Picklable; :meth:`merge` is commutative over disjoint thread sets, so
     shard folds combine into exactly the sequential fold's state.
+
+    Inside one batch, call sites are int64 codes from
+    :meth:`~repro.perf.columns.CallColumns.group_codes`; parent/child
+    pairs are keyed as ``parent * K + child`` integers and decoded to
+    ``(kind, name)`` tuples once per distinct pair.  Rows whose parent or
+    chain predecessor sits in an earlier batch extend the batch's code
+    table through :meth:`_code_of`.
     """
 
     def __init__(
@@ -192,6 +205,9 @@ class CallFold:
         self.ssc_matched = 0
         self.ssc_short = 0
         self._thread: Optional[_ThreadState] = None
+        # The current batch's code → (kind, name) table and its inverse.
+        self._keys: list[tuple[str, str]] = []
+        self._code_index: dict[tuple[str, str], int] = {}
 
     # -- folding ------------------------------------------------------------
 
@@ -201,6 +217,9 @@ class CallFold:
         if n == 0:
             return
         durs = cols.duration_ns()
+        codes, keys = cols.group_codes()
+        self._keys = list(keys)
+        self._code_index = {key: code for code, key in enumerate(keys)}
         kinds = np.asarray(cols.kind, dtype=object)
         is_ecall = kinds == ECALL
         w = self.weights
@@ -213,10 +232,20 @@ class CallFold:
         self.ocall_short += int((durs[~is_ecall] < w.short_call_ns).sum())
         self.aex_total += int(cols.aex_count.sum())
         self._fold_sleep_matches(cols, durs)
-        self._fold_groups(cols, durs)
+        self._fold_groups(cols, durs, codes)
+        kind_codes = np.unique([kind for kind, _ in keys], return_inverse=True)[1][codes]
         boundaries = np.flatnonzero(np.diff(cols.thread_id)) + 1
         for seg in np.split(np.arange(n), boundaries):
-            self._fold_segment(cols, seg)
+            self._fold_segment(cols, codes, kind_codes, seg)
+
+    def _code_of(self, kind: str, name: str) -> int:
+        """This batch's code for a call site, extending the table if new."""
+        key = (kind, name)
+        code = self._code_index.get(key)
+        if code is None:
+            code = self._code_index[key] = len(self._keys)
+            self._keys.append(key)
+        return code
 
     def _fold_sleep_matches(self, cols: CallColumns, durs: np.ndarray) -> None:
         if self._sleep_ids is None:
@@ -229,12 +258,11 @@ class CallFold:
             if durs[pos] < threshold:
                 self.ssc_short += mult
 
-    def _fold_groups(self, cols: CallColumns, durs: np.ndarray) -> None:
-        codes, keys = cols.group_codes()
+    def _fold_groups(self, cols: CallColumns, durs: np.ndarray, codes: np.ndarray) -> None:
         order = np.argsort(codes, kind="stable")
         boundaries = np.flatnonzero(np.diff(codes[order])) + 1
         for bucket in np.split(order, boundaries):
-            kind, name = keys[int(codes[bucket[0]])]
+            kind, name = self._keys[int(codes[bucket[0]])]
             group = self.groups.get((kind, name))
             if group is None:
                 group = self.groups[(kind, name)] = _GroupState(kind, name)
@@ -246,7 +274,7 @@ class CallFold:
             group.ids.append(ids)
             group.durs.append(d)
             # Earliest (start, id) row carries call_index and the group's
-            # is_sync flag, matching group_indices()' first-appearance row.
+            # is_sync flag.
             tied = bucket[starts == starts.min()]
             first = int(tied[np.argmin(cols.event_id[tied])])
             group.update_first(
@@ -260,7 +288,9 @@ class CallFold:
             group.n5 += int((d < base + 5_000).sum())
             group.n10 += int((d < base + 10_000).sum())
 
-    def _fold_segment(self, cols: CallColumns, seg: np.ndarray) -> None:
+    def _fold_segment(
+        self, cols: CallColumns, codes: np.ndarray, kind_codes: np.ndarray, seg: np.ndarray
+    ) -> None:
         """One contiguous same-thread run: parents, chains, window carry."""
         tid = int(cols.thread_id[seg[0]])
         state = self._thread
@@ -268,17 +298,16 @@ class CallFold:
             # Thread-major order: the previous thread is complete — its
             # window and chains can never be referenced again.
             state = self._thread = _ThreadState(tid)
-        self._fold_direct_parents(cols, seg, state)
-        self._fold_chains(cols, seg, state)
+        self._fold_direct_parents(cols, codes, seg, state)
+        self._fold_chains(cols, codes, kind_codes, seg, state)
         self._advance_window(cols, seg, state)
 
     def _fold_direct_parents(
-        self, cols: CallColumns, seg: np.ndarray, state: _ThreadState
+        self, cols: CallColumns, codes: np.ndarray, seg: np.ndarray, state: _ThreadState
     ) -> None:
         pids_all = cols.parent_id[seg]
         with_parent = np.flatnonzero(pids_all != NO_PARENT)
         resolved = np.zeros(len(seg), dtype=bool)
-        rows: Optional[np.ndarray] = None
         if len(with_parent):
             rows_wp = seg[with_parent]
             ppos = cols.positions_of(pids_all[with_parent])
@@ -287,115 +316,110 @@ class CallFold:
             pos_ic = ppos[in_chunk]
             # Parents in earlier chunks come out of the carried window;
             # only boundary-crossing rows pay this Python loop.
-            extra: list[tuple[int, int, int, int, str, str]] = []
+            extra: list[tuple[int, int, int, int]] = []  # (row, start, end, code)
             for j in np.flatnonzero(~in_chunk).tolist():
                 pid = int(pids_all[with_parent[j]])
                 entry = state.window.get(pid)
                 if entry is None:
                     state.dangling.add(pid)
                 else:
-                    extra.append((int(with_parent[j]), int(rows_wp[j])) + entry)
+                    resolved[with_parent[j]] = True
+                    start, end, kind, name = entry
+                    extra.append((int(rows_wp[j]), start, end, self._code_of(kind, name)))
             rows = np.concatenate(
-                [rows_wp[in_chunk], np.array([e[1] for e in extra], dtype=np.int64)]
+                [rows_wp[in_chunk], np.array([e[0] for e in extra], dtype=np.int64)]
             )
-            pstart = np.concatenate(
-                [cols.start_ns[pos_ic], np.array([e[2] for e in extra], dtype=np.int64)]
-            )
-            pend = np.concatenate(
-                [cols.end_ns[pos_ic], np.array([e[3] for e in extra], dtype=np.int64)]
-            )
-            pkind = np.concatenate(
-                [cols.kind[pos_ic], np.array([e[4] for e in extra], dtype=object)]
-            )
-            pname = np.concatenate(
-                [cols.name[pos_ic], np.array([e[5] for e in extra], dtype=object)]
-            )
-            for e in extra:
-                resolved[e[0]] = True
-        if rows is not None and len(rows):
-            ckind = cols.kind[rows]
-            cname = cols.name[rows]
-            self._bump_edges(self.direct_edges, pkind, pname, ckind, cname)
-            # Security sets: ecalls nested under ocalls vs anything else.
-            ecall_child = ckind == ECALL
-            under_ocall = ecall_child & (pkind == OCALL)
-            for pair in np.unique(_join2(cname[under_ocall], pname[under_ocall])).tolist():
-                child, parent = pair.split(_SEP)
-                self.nested_under.setdefault(child, set()).add(parent)
-                self.observed_allow.setdefault(parent, set()).add(child)
-            for child in np.unique(cname[ecall_child & ~under_ocall]).tolist():
-                self.disqualified.add(child)
-            # Equation 2 offsets, grouped per (kind, name, parent name).
-            ns = ~cols.is_sync[rows]
-            if ns.any():
-                rr = rows[ns]
-                from_start = cols.start_ns[rr] - pstart[ns]
-                from_end = pend[ns] - cols.end_ns[rr]
-                keys = np.array(
-                    [
-                        k + _SEP + n + _SEP + p
-                        for k, n, p in zip(ckind[ns], cname[ns], pname[ns])
-                    ],
-                    dtype=object,
+            if len(rows):
+                pstart = np.concatenate(
+                    [cols.start_ns[pos_ic], np.array([e[1] for e in extra], dtype=np.int64)]
                 )
-                uniq, inverse = np.unique(keys, return_inverse=True)
-                sums = [np.bincount(inverse, minlength=len(uniq))]
-                for mask in (
-                    from_start <= 10_000,
-                    from_start <= 20_000,
-                    from_end <= 10_000,
-                    from_end <= 20_000,
-                ):
-                    sums.append(
-                        np.bincount(inverse, weights=mask, minlength=len(uniq))
-                    )
-                for j, key in enumerate(uniq.tolist()):
-                    counts = self.reorder_counts.setdefault(
-                        tuple(key.split(_SEP)), [0, 0, 0, 0, 0]
-                    )
-                    for slot in range(5):
-                        counts[slot] += int(sums[slot][j])
+                pend = np.concatenate(
+                    [cols.end_ns[pos_ic], np.array([e[2] for e in extra], dtype=np.int64)]
+                )
+                pcode = np.concatenate(
+                    [codes[pos_ic], np.array([e[3] for e in extra], dtype=np.int64)]
+                )
+                self._add_direct_links(cols, codes, rows, pstart, pend, pcode)
         # Ecalls with no parent, a dangling parent, or an ecall parent were
         # observed outside any ocall — never private candidates.
         loose = seg[(np.asarray(cols.kind[seg], dtype=object) == ECALL) & ~resolved]
-        for child in np.unique(cols.name[loose]).tolist():
-            self.disqualified.add(child)
+        for code in np.unique(codes[loose]).tolist():
+            self.disqualified.add(self._keys[code][1])
 
-    def _fold_chains(self, cols: CallColumns, seg: np.ndarray, state: _ThreadState) -> None:
+    def _add_direct_links(
+        self,
+        cols: CallColumns,
+        codes: np.ndarray,
+        rows: np.ndarray,
+        pstart: np.ndarray,
+        pend: np.ndarray,
+        pcode: np.ndarray,
+    ) -> None:
+        """Direct-parent links ``pcode → rows``; ``pstart``/``pend`` bound each parent."""
+        ccode = codes[rows]
+        keys = self._keys
+        width = len(keys)
+        self._bump_edges(self.direct_edges, pcode * width + ccode, width)
+        # Security sets: ecalls nested under ocalls vs anything else.
+        site_is_ecall = np.array([kind == ECALL for kind, _ in keys])
+        site_is_ocall = np.array([kind == OCALL for kind, _ in keys])
+        ecall_child = site_is_ecall[ccode]
+        under_ocall = ecall_child & site_is_ocall[pcode]
+        for pair in np.unique(ccode[under_ocall] * width + pcode[under_ocall]).tolist():
+            child, parent = keys[pair // width][1], keys[pair % width][1]
+            self.nested_under.setdefault(child, set()).add(parent)
+            self.observed_allow.setdefault(parent, set()).add(child)
+        for code in np.unique(ccode[ecall_child & ~under_ocall]).tolist():
+            self.disqualified.add(keys[code][1])
+        # Equation 2 offsets, grouped per (kind, name, parent name).
+        ns = ~cols.is_sync[rows]
+        if ns.any():
+            from_start = cols.start_ns[rows[ns]] - pstart[ns]
+            from_end = pend[ns] - cols.end_ns[rows[ns]]
+            self._bump_counts(
+                self.reorder_counts,
+                ccode[ns] * width + pcode[ns],
+                width,
+                [from_start <= t for t in _REORDER_LIMITS]
+                + [from_end <= t for t in _REORDER_LIMITS],
+                lambda child, parent: child + parent[1:],
+            )
+
+    def _fold_chains(
+        self,
+        cols: CallColumns,
+        codes: np.ndarray,
+        kind_codes: np.ndarray,
+        seg: np.ndarray,
+        state: _ThreadState,
+    ) -> None:
         """Figure 4 chains: consecutive same-(parent, kind) rows in (start, id) order."""
         pids = cols.parent_id[seg]
-        kind_codes = np.unique(np.asarray(cols.kind[seg], dtype=object), return_inverse=True)[1]
-        order = np.lexsort((cols.event_id[seg], cols.start_ns[seg], kind_codes, pids))
+        seg_kinds = kind_codes[seg]
+        order = np.lexsort((cols.event_id[seg], cols.start_ns[seg], seg_kinds, pids))
         srows = seg[order]
         spids = pids[order]
-        scodes = kind_codes[order]
+        skinds = seg_kinds[order]
         same = np.zeros(len(seg), dtype=bool)
         if len(seg) > 1:
-            same[1:] = (spids[1:] == spids[:-1]) & (scodes[1:] == scodes[:-1])
+            same[1:] = (spids[1:] == spids[:-1]) & (skinds[1:] == skinds[:-1])
         # Links fully inside this chunk, vectorised.
         link_at = np.flatnonzero(same)
         if len(link_at):
             prev = srows[link_at - 1]
-            self._add_links(
-                cols, srows[link_at], cols.end_ns[prev], cols.kind[prev], cols.name[prev]
-            )
+            self._add_links(cols, codes, srows[link_at], cols.end_ns[prev], codes[prev])
         # Each key group's head may continue a chain carried from the
         # previous chunk of this thread.
         if state.chains:
-            carried: list[tuple[int, int, str, str]] = []
+            carried: list[tuple[int, int, int]] = []  # (row, end, code)
             for i in np.flatnonzero(~same).tolist():
                 row = int(srows[i])
                 tail = state.chains.get((int(spids[i]), str(cols.kind[row])))
                 if tail is not None:
-                    carried.append((row,) + tail)
+                    carried.append((row, tail[0], self._code_of(tail[1], tail[2])))
             if carried:
-                self._add_links(
-                    cols,
-                    np.array([c[0] for c in carried], dtype=np.int64),
-                    np.array([c[1] for c in carried], dtype=np.int64),
-                    np.array([c[2] for c in carried], dtype=object),
-                    np.array([c[3] for c in carried], dtype=object),
-                )
+                rows, pend, pcode = (np.array(column, dtype=np.int64) for column in zip(*carried))
+                self._add_links(cols, codes, rows, pend, pcode)
         # Each key group's last row becomes the chain tail going forward.
         tail_at = np.flatnonzero(~np.append(same[1:], False))
         for i in tail_at.tolist():
@@ -409,43 +433,55 @@ class CallFold:
     def _add_links(
         self,
         cols: CallColumns,
+        codes: np.ndarray,
         rows: np.ndarray,
         pend: np.ndarray,
-        pkind: np.ndarray,
-        pname: np.ndarray,
+        pcode: np.ndarray,
     ) -> None:
-        ckind = cols.kind[rows]
-        cname = cols.name[rows]
-        self._bump_edges(self.indirect_edges, pkind, pname, ckind, cname)
+        """Indirect-parent links ``pcode → rows``; ``pend`` is each parent's end."""
+        ccode = codes[rows]
+        width = len(self._keys)
+        self._bump_edges(self.indirect_edges, pcode * width + ccode, width)
         ns = ~cols.is_sync[rows]  # Equation 3 filters sync *children* only
         if not ns.any():
             return
         gaps = cols.start_ns[rows[ns]] - pend[ns]
-        keys = _join4(ckind[ns], cname[ns], pkind[ns], pname[ns])
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        sums = [np.bincount(inverse, minlength=len(uniq))]
-        for limit in (1_000, 5_000, 10_000, 20_000):
-            sums.append(np.bincount(inverse, weights=gaps <= limit, minlength=len(uniq)))
-        for j, key in enumerate(uniq.tolist()):
-            counts = self.merge_counts.setdefault(tuple(key.split(_SEP)), [0, 0, 0, 0, 0])
-            for slot in range(5):
-                counts[slot] += int(sums[slot][j])
+        self._bump_counts(
+            self.merge_counts,
+            ccode[ns] * width + pcode[ns],
+            width,
+            [gaps <= t for t in _MERGE_LIMITS],
+            lambda child, parent: child + parent,
+        )
 
-    @staticmethod
-    def _bump_edges(
-        edges: dict,
-        pkind: np.ndarray,
-        pname: np.ndarray,
-        ckind: np.ndarray,
-        cname: np.ndarray,
-    ) -> None:
-        if len(pkind) == 0:
+    def _bump_edges(self, edges: dict, pairs: np.ndarray, width: int) -> None:
+        """Count ``parent * width + child`` code pairs into ``edges``."""
+        if len(pairs) == 0:
             return
-        uniq, counts = np.unique(_join4(pkind, pname, ckind, cname), return_counts=True)
-        for key, count in zip(uniq.tolist(), counts.tolist()):
-            pk, pn, ck, cn = key.split(_SEP)
-            edge = ((pk, pn), (ck, cn))
-            edges[edge] = edges.get(edge, 0) + int(count)
+        uniq, counts = np.unique(pairs, return_counts=True)
+        keys = self._keys
+        for pair, count in zip(uniq.tolist(), counts.tolist()):
+            edge = (keys[pair // width], keys[pair % width])
+            edges[edge] = edges.get(edge, 0) + count
+
+    def _bump_counts(
+        self,
+        table: dict,
+        pairs: np.ndarray,
+        width: int,
+        masks: list,
+        key_of: Callable[[tuple, tuple], tuple],
+    ) -> None:
+        """Add ``[rows, *mask counts]`` per ``child * width + parent`` pair."""
+        uniq, inverse = np.unique(pairs, return_inverse=True)
+        sums = [np.bincount(inverse, minlength=len(uniq))]
+        sums += [np.bincount(inverse, weights=mask, minlength=len(uniq)) for mask in masks]
+        keys = self._keys
+        for j, pair in enumerate(uniq.tolist()):
+            key = key_of(keys[pair // width], keys[pair % width])
+            counts = table.setdefault(key, [0] * len(sums))
+            for slot, column in enumerate(sums):
+                counts[slot] += int(column[j])
 
     def _advance_window(self, cols: CallColumns, seg: np.ndarray, state: _ThreadState) -> None:
         """Carry only still-open intervals; evict chains of closed parents.
@@ -480,9 +516,11 @@ class CallFold:
     # -- sharding ------------------------------------------------------------
 
     def seal(self) -> "CallFold":
-        """Drop transient per-thread state (end of a shard's thread run)."""
+        """Drop transient per-thread and per-batch state (end of a shard's run)."""
         self._thread = None
         self._sleep_ids = None
+        self._keys = []
+        self._code_index = {}
         return self
 
     def merge(self, other: "CallFold") -> None:
@@ -530,7 +568,7 @@ class CallFold:
         return sorted(self.groups.values(), key=lambda g: (g.first_start, g.first_id))
 
     def statistics(self) -> list[stats_mod.CallStatistics]:
-        """Per-call statistics, busiest first — ``all_statistics``'s twin."""
+        """Per-call statistics, busiest first; ties keep first-appearance order."""
         stats = [
             stats_mod._statistics_from_values(g.kind, g.name, g.sorted_durations())
             for g in self._ordered_groups()
@@ -596,7 +634,7 @@ class CallFold:
         return findings
 
     def call_graph(self) -> nx.MultiDiGraph:
-        """Name-level call graph — ``build_call_graph``'s aggregate twin."""
+        """Name-level call graph with direct/indirect edges (Figure 5)."""
         graph = nx.MultiDiGraph()
         for g in self._ordered_groups():
             graph.add_node(
@@ -626,10 +664,96 @@ class CallFold:
         return ecalls, len(self.groups) - ecalls
 
 
-class StreamingAnalyzer:
-    """The streaming analyser: same report as :class:`~repro.perf.analysis.report.Analyzer`, windowed memory.
+def fold_columns(
+    cols: CallColumns,
+    transition_round_trip_ns: int = DEFAULT_TRANSITION_NS,
+    weights: Optional[det.AnalyzerWeights] = None,
+    sleep_counts: Optional[dict[int, int]] = None,
+) -> CallFold:
+    """Fold an in-memory column set as one thread-major chunk."""
+    fold = CallFold(transition_round_trip_ns, weights or det.AnalyzerWeights(), sleep_counts)
+    fold.fold(cols.select(np.lexsort((cols.event_id, cols.start_ns, cols.thread_id))))
+    return fold.seal()
 
-    Runs four passes over the trace database:
+
+def ecall_intervals(cols: CallColumns) -> Iterator[tuple[int, int, str]]:
+    """``(start, end, name)`` of each ecall in ``cols``, in row order."""
+    rows = np.flatnonzero(np.asarray(cols.kind, dtype=object) == ECALL)
+    yield from zip(
+        cols.start_ns[rows].tolist(), cols.end_ns[rows].tolist(), cols.name[rows].tolist()
+    )
+
+
+def sync_summary(rows: Iterable[tuple]) -> dict:
+    """Sleep multiplicities, wake matrix and sync totals from ``sync`` rows."""
+    total = sleeps = wakes = 0
+    sleep_counts: dict[int, int] = {}
+    wake_matrix: dict[tuple[int, int], int] = {}
+    for row in rows:
+        total += 1
+        kind = row[3]
+        if kind == SyncKind.SLEEP.value:
+            sleeps += 1
+            if row[4] is not None:
+                call_id = int(row[4])
+                sleep_counts[call_id] = sleep_counts.get(call_id, 0) + 1
+        elif kind == SyncKind.WAKE.value:
+            wakes += 1
+            thread_id = int(row[2])
+            for target in (row[5] or "").split(","):
+                if target:
+                    key = (thread_id, int(target))
+                    wake_matrix[key] = wake_matrix.get(key, 0) + 1
+    return {
+        "total": total,
+        "sleeps": sleeps,
+        "wakes": wakes,
+        "sleep_counts": sleep_counts,
+        "wake_matrix": wake_matrix,
+    }
+
+
+def attribute_paging(
+    paging_rows: Iterable[tuple], intervals: Iterable[tuple[int, int, str]]
+) -> tuple[dict[str, int], int, int, int]:
+    """Attribute paging events to enclosing ecalls via a merge-join.
+
+    ``paging_rows`` are ``paging`` table rows and ``intervals`` ecall
+    ``(start, end, name)`` triples, both time-ordered (intervals by
+    ``(start, id)``).  "The last ecall started at or before the event's
+    timestamp" is then a single forward pointer, which picks the last of
+    tied starts.  ``intervals`` is not advanced before the first paging
+    row, so a lazy interval reader costs nothing on a paging-free trace.
+    Returns the :func:`~repro.perf.analysis.detectors.paging_findings_from_counts`
+    arguments.
+    """
+    page_in = total = 0
+    distinct: set[tuple[int, int]] = set()
+    affected: dict[str, int] = {}
+    ecalls = iter(intervals)
+    upcoming = current = None  # next interval / last one started at or before ts
+    for row in paging_rows:
+        ts = int(row[1])
+        if not total:
+            upcoming = next(ecalls, None)
+        total += 1
+        if row[4] == "page_in":
+            page_in += 1
+        distinct.add((int(row[2]), int(row[3])))
+        while upcoming is not None and upcoming[0] <= ts:
+            current = upcoming
+            upcoming = next(ecalls, None)
+        if current is not None and current[1] >= ts:
+            name = str(current[2])
+            affected[name] = affected.get(name, 0) + 1
+    return affected, page_in, total - page_in, len(distinct)
+
+
+class StreamingAnalyzer:
+    """The analyser over bounded-size chunks: windowed memory, optional sharding.
+
+    Produces the same report as :class:`~repro.perf.analysis.report.Analyzer`
+    from four passes over the trace database:
 
     1. a *sync* pass over the (small) sync table, producing the sleep
        multiplicities and wake matrix the SSC detector needs;
@@ -637,14 +761,12 @@ class StreamingAnalyzer:
        chunks, optionally sharded by thread across worker processes
        (``jobs > 1``, see :mod:`repro.perf.analysis.parallel`);
     3. a *paging* pass merge-joining time-ordered paging records against
-       time-ordered ecall intervals (equivalent to the in-memory
-       ``searchsorted`` attribution);
-    4. a *fault* pass folding fault rows through the shared
+       time-ordered ecall intervals (:func:`attribute_paging`);
+    4. a *fault* pass folding fault rows through
        :class:`~repro.perf.analysis.report.FaultAccumulator`.
 
-    The resulting :class:`~repro.perf.analysis.report.AnalysisReport` is
-    byte-identical to the in-memory analyser's for any chunk size or job
-    count — the equivalence tests and the CI digest gate hold it to that.
+    The report is byte-identical for any chunk size or job count; golden
+    digests in the test suite and the CI digest gate hold it to that.
     """
 
     def __init__(
@@ -664,60 +786,16 @@ class StreamingAnalyzer:
         self.jobs = int(jobs)
 
     def run(self):
-        from repro.perf.analysis import report as report_mod
+        from repro.perf.analysis.report import analyse_trace
 
-        db = self.db
-        counts = db.table_counts()
-        trace_state = db.get_meta("trace_state")
-        transition_ns = int(
-            db.get_meta(
-                "transition_round_trip_ns", str(report_mod.DEFAULT_TRANSITION_NS)
-            )
-        )
-        sync = self._sync_pass()
-        fold = self._fold_trace(transition_ns, sync["sleep_counts"])
-        self._fold = fold  # kept for `call_graph()` / live inspection
-
-        findings: list[det.Finding] = []
-        findings += fold.reorder_findings()
-        findings += fold.merge_findings()
-        findings += fold.move_findings()
-        findings += det.ssc_finding_from_counts(
-            sync["total"],
-            sync["sleeps"],
-            sync["wakes"],
-            fold.ssc_matched,
-            fold.ssc_short,
-            sync["wake_matrix"],
+        report, self._fold = analyse_trace(
+            self.db,
+            self.definition,
             self.weights,
+            self.chunk_events,
+            self._fold_trace,
+            self._ecall_intervals(),
         )
-        findings += det.paging_findings_from_counts(*self._paging_pass())
-        findings += fold.security_findings(self.definition)
-
-        distinct_ecalls, distinct_ocalls = fold.distinct_counts()
-        report = report_mod.AnalysisReport(
-            statistics=fold.statistics(),
-            findings=findings,
-            transition_round_trip_ns=transition_ns,
-            ecall_count=fold.ecall_rows,
-            ocall_count=fold.ocall_rows,
-            ecall_short_fraction=(
-                fold.ecall_short / fold.ecall_rows if fold.ecall_rows else 0.0
-            ),
-            ocall_short_fraction=(
-                fold.ocall_short / fold.ocall_rows if fold.ocall_rows else 0.0
-            ),
-            distinct_ecalls=distinct_ecalls,
-            distinct_ocalls=distinct_ocalls,
-            aex_total=fold.aex_total,
-            paging_events=counts["paging"],
-        )
-        fault_acc = report_mod.FaultAccumulator()
-        for chunk in db.fault_events_chunks(self.chunk_events):
-            for fault in chunk:
-                fault_acc.add(fault)
-        report_mod.apply_fault_annotations(report, fault_acc, trace_state)
-        report_mod.apply_edl_note(report, self.definition)
         return report
 
     def call_graph(self) -> nx.MultiDiGraph:
@@ -726,38 +804,10 @@ class StreamingAnalyzer:
             self.run()
         return self._fold.call_graph()
 
-    # -- passes --------------------------------------------------------------
-
-    def _sync_pass(self) -> dict:
-        """Sleep multiplicities, wake matrix and sync totals (one pass)."""
-        from repro.perf.events import SyncKind
-
-        total = sleeps = wakes = 0
-        sleep_counts: dict[int, int] = {}
-        wake_matrix: dict[tuple[int, int], int] = {}
-        for rows in self.db.sync_rows_chunks(self.chunk_events):
-            for row in rows:
-                total += 1
-                kind = row[3]
-                if kind == SyncKind.SLEEP.value:
-                    sleeps += 1
-                    if row[4] is not None:
-                        call_id = int(row[4])
-                        sleep_counts[call_id] = sleep_counts.get(call_id, 0) + 1
-                elif kind == SyncKind.WAKE.value:
-                    wakes += 1
-                    thread_id = int(row[2])
-                    for target in (row[5] or "").split(","):
-                        if target:
-                            key = (thread_id, int(target))
-                            wake_matrix[key] = wake_matrix.get(key, 0) + 1
-        return {
-            "total": total,
-            "sleeps": sleeps,
-            "wakes": wakes,
-            "sleep_counts": sleep_counts,
-            "wake_matrix": wake_matrix,
-        }
+    def _ecall_intervals(self) -> Iterator[tuple[int, int, str]]:
+        # A generator, so the ecall query only runs once paging rows need it.
+        for rows in self.db.ecall_intervals_chunks(self.chunk_events):
+            yield from rows
 
     def _fold_trace(self, transition_ns: int, sleep_counts: dict[int, int]) -> CallFold:
         if self.jobs > 1 and self.db.path != ":memory:":
@@ -774,40 +824,6 @@ class StreamingAnalyzer:
             if fold is not None:
                 return fold
         fold = CallFold(transition_ns, self.weights, sleep_counts)
-        for cols in self.db.call_columns_chunks(self.chunk_events, order="thread"):
+        for cols in self.db.call_columns_chunks(self.chunk_events):
             fold.fold(cols)
         return fold.seal()
-
-    def _paging_pass(self) -> tuple[dict[str, int], int, int, int]:
-        """Attribute paging events to enclosing ecalls via a merge-join.
-
-        Both streams are time-ordered, so "the last ecall started at or
-        before the fault's timestamp" is a single forward pointer — the
-        exact interval ``searchsorted(..., side="right") - 1`` selects in
-        the in-memory detector, including its last-of-tied-starts choice.
-        """
-        page_in = total = 0
-        distinct: set[tuple[int, int]] = set()
-        affected: dict[str, int] = {}
-
-        def intervals():
-            for rows in self.db.ecall_intervals_chunks(self.chunk_events):
-                yield from rows
-
-        ecalls = intervals()
-        upcoming = next(ecalls, None)
-        current = None  # last interval started at or before the fault
-        for rows in self.db.paging_rows_chunks(self.chunk_events):
-            for row in rows:
-                ts = int(row[1])
-                total += 1
-                if row[4] == "page_in":
-                    page_in += 1
-                distinct.add((int(row[2]), int(row[3])))
-                while upcoming is not None and upcoming[0] <= ts:
-                    current = upcoming
-                    upcoming = next(ecalls, None)
-                if current is not None and current[1] >= ts:
-                    name = str(current[2])
-                    affected[name] = affected.get(name, 0) + 1
-        return affected, page_in, total - page_in, len(distinct)

@@ -6,10 +6,10 @@ Subcommands:
   write the trace database (the moral equivalent of
   ``LD_PRELOAD=liblogger.so ./app``);
 * ``analyze`` — produce the full report for a trace (optionally with the
-  enclave's EDL file for allow-list narrowing); ``--jobs N`` /
-  ``--chunk-events M`` / ``--streaming`` select the streaming analyser,
-  which produces byte-identical reports in windowed memory, sharded by
-  thread across worker processes when ``N > 1``;
+  enclave's EDL file for allow-list narrowing) in windowed memory:
+  ``--chunk-events M`` sets the batch size and ``--jobs N`` shards the
+  fold by thread across worker processes; the report is byte-identical
+  at any setting;
 * ``top``     — run a workload with a live sampling display: transition
   rates, AEX counts and paging pressure every interval of virtual time;
 * ``stats``   — detailed statistics/histogram/scatter for one call;
@@ -38,6 +38,7 @@ from typing import Callable, Optional
 
 from repro.perf.analysis import Analyzer
 from repro.perf.analysis import stats as stats_mod
+from repro.perf.analysis.streaming import StreamingAnalyzer
 from repro.perf.database import TraceDatabase
 from repro.sdk.edl import parse_edl
 
@@ -93,33 +94,20 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.edl:
         with open(args.edl) as f:
             definition = parse_edl(f.read())
-    streaming = args.jobs != 1 or args.chunk_events is not None or args.streaming
     with TraceDatabase(args.trace) as db:
         counts = db.table_counts()
         total = sum(counts.values())
-        mode = (
-            f"streaming (jobs={args.jobs}, chunk-events="
-            f"{args.chunk_events or 'default'})"
-            if streaming
-            else "in-memory"
+        analyzer = StreamingAnalyzer(
+            db, definition=definition, chunk_events=args.chunk_events, jobs=args.jobs
         )
         print(
             f"analyzing {args.trace}: {counts['calls']} calls, "
             f"{counts['paging']} paging, {counts['sync']} sync, "
-            f"{counts['faults']} fault rows ({total} events total), {mode}",
+            f"{counts['faults']} fault rows ({total} events total), "
+            f"jobs={analyzer.jobs}, chunk-events={analyzer.chunk_events}",
             file=sys.stderr,
         )
-        if streaming:
-            from repro.perf.analysis.streaming import StreamingAnalyzer
-
-            report = StreamingAnalyzer(
-                db,
-                definition=definition,
-                chunk_events=args.chunk_events,
-                jobs=args.jobs,
-            ).run()
-        else:
-            report = Analyzer(db, definition=definition).run()
+        report = analyzer.run()
         if args.json:
             from repro.perf.analysis.export import report_to_json
 
@@ -168,8 +156,8 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     with TraceDatabase(args.trace) as db:
-        events = db.calls(kind=args.kind, name=args.call)
-        if not events:
+        events = db.call_columns(kind=args.kind, name=args.call)
+        if not len(events):
             print(f"no events for {args.kind} {args.call!r}", file=sys.stderr)
             return 1
         stat = stats_mod.compute_statistics(args.kind, args.call, events)
@@ -382,27 +370,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="shard the analysis by thread across N worker processes "
-        "(any value != 1 selects the streaming analyser)",
+        help="shard the analysis by thread across N worker processes",
     )
     p_analyze.add_argument(
         "--chunk-events",
         type=int,
         default=None,
         metavar="M",
-        help="stream the trace in batches of M call rows "
-        "(selects the streaming analyser; default batch size 65536)",
-    )
-    p_analyze.add_argument(
-        "--streaming",
-        action="store_true",
-        help="use the streaming analyser even with jobs=1 and default chunks",
+        help="stream the trace in batches of M call rows (default 65536)",
     )
     p_analyze.add_argument(
         "--json",
         action="store_true",
         help="emit the machine-readable findings document "
-        "(sgxperf-findings/1; byte-identical from either analyser)",
+        "(sgxperf-findings/1; byte-identical at any --jobs/--chunk-events)",
     )
     p_analyze.add_argument(
         "--cluster",

@@ -13,7 +13,7 @@ every column stays a dense integer array.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -232,13 +232,3 @@ def _event_row(e: CallEvent) -> tuple:
         1 if e.is_sync else 0,
     )
 
-
-def as_columns(calls: Union["CallColumns", Iterable[CallEvent]]) -> CallColumns:
-    """Coerce either representation to columns.
-
-    Analysis entry points accept both the legacy ``Sequence[CallEvent]``
-    and :class:`CallColumns`; the columnar form is the fast path.
-    """
-    if isinstance(calls, CallColumns):
-        return calls
-    return CallColumns.from_events(calls)

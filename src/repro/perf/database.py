@@ -26,9 +26,9 @@ analysers, and raw SQL for everyone else.
 For traces too large to materialise, the **streaming API** walks the same
 tables through SQLite cursors in bounded-size batches:
 :meth:`call_columns_chunks` yields :class:`CallColumns` windows (ordered by
-``(thread, start, id)`` so per-thread parent state stays windowed, or
-globally by ``(start, id)``), with row-count fast paths
-(:meth:`calls_count`, :meth:`event_count`) that never load a column.
+``(thread, start, id)`` so per-thread parent state stays windowed), with
+row-count fast paths (:meth:`calls_count`, :meth:`event_count`) that never
+load a column.
 ``readonly=True`` opens an existing trace without taking any write lock —
 the mode the parallel analyser's shard workers use so N readers never
 contend on index creation.
@@ -532,24 +532,17 @@ class TraceDatabase:
         self,
         chunk_events: int = DEFAULT_CHUNK_EVENTS,
         thread_ids: Optional[Sequence[int]] = None,
-        order: str = "thread",
     ) -> Iterator[CallColumns]:
         """Stream the ``calls`` table as bounded-size column batches.
 
-        ``order="thread"`` yields rows ordered by ``(thread_id, start_ns,
-        id)`` — each thread is one contiguous run, which is what the
-        incremental analysers need to keep their per-thread parent windows
-        small (and what ``idx_calls_thread`` serves without a sort).
-        ``order="time"`` yields the reader convention ``(start_ns, id)``.
-        ``thread_ids`` restricts the stream to one shard's threads.
+        Rows come ordered by ``(thread_id, start_ns, id)`` — each thread is
+        one contiguous run, which is what the analyser's fold needs to keep
+        its per-thread parent windows small (and what ``idx_calls_thread``
+        serves without a sort).  ``thread_ids`` restricts the stream to one
+        shard's threads.
         """
         self._ensure_read()
-        if order == "thread":
-            order_by = " ORDER BY thread_id, start_ns, id"
-        elif order == "time":
-            order_by = " ORDER BY start_ns, id"
-        else:
-            raise ValueError(f"unknown chunk order {order!r}")
+        order_by = " ORDER BY thread_id, start_ns, id"
         where, params = "", []
         if thread_ids is not None:
             marks = ",".join("?" for _ in thread_ids)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.perf.columns import CALL_COLUMN_NAMES, NO_PARENT, CallColumns, as_columns
+from repro.perf.columns import CALL_COLUMN_NAMES, NO_PARENT, CallColumns
 from repro.perf.database import TraceDatabase
 from repro.perf.events import CallEvent, ECALL, OCALL
 
@@ -126,17 +126,13 @@ class TestColumnarReaders:
 class TestCallColumns:
     def test_from_events_and_sentinel(self):
         events = [_event(1), _event(2, OCALL, "ocall_x", parent=1)]
-        cols = as_columns(events)
+        cols = CallColumns.from_events(events)
         assert cols.parent_id[0] == NO_PARENT
         assert cols.parent_id[1] == 1
         assert cols.to_events() == events
 
-    def test_as_columns_passthrough(self):
-        cols = CallColumns.empty()
-        assert as_columns(cols) is cols
-
     def test_positions_of(self):
-        cols = as_columns([_event(5), _event(2), _event(9)])
+        cols = CallColumns.from_events([_event(5), _event(2), _event(9)])
         got = cols.positions_of(np.array([2, 9, 5, 7, NO_PARENT]))
         np.testing.assert_array_equal(got, [1, 2, 0, -1, -1])
 
@@ -147,7 +143,7 @@ class TestCallColumns:
             _event(3, ECALL, "zz"),
             _event(4, OCALL, "mm"),
         ]
-        cols = as_columns(events)
+        cols = CallColumns.from_events(events)
         groups = cols.group_indices()
         assert [key for key, _ in groups] == [
             (ECALL, "zz"),
@@ -157,7 +153,7 @@ class TestCallColumns:
         np.testing.assert_array_equal(groups[0][1], [0, 2])
 
     def test_select_and_duration(self):
-        cols = as_columns([_event(1, dur=10), _event(2, dur=20), _event(3, dur=30)])
+        cols = CallColumns.from_events([_event(1, dur=10), _event(2, dur=20), _event(3, dur=30)])
         picked = cols.select(cols.duration_ns() >= 20)
         assert len(picked) == 2
         np.testing.assert_array_equal(picked.event_id, [2, 3])

@@ -1,5 +1,6 @@
 """The machine-readable findings export (``sgxperf analyze --json``)."""
 
+import hashlib
 import json
 
 import pytest
@@ -13,14 +14,18 @@ from repro.perf.analysis.export import (
 )
 from repro.perf.analysis.streaming import StreamingAnalyzer
 from repro.perf.database import TraceDatabase
-from repro.workloads.recorders import record_sqlite
+from tests.perf import golden_traces
 
 
 @pytest.fixture(scope="module")
 def trace_path(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("export") / "sqlite.db")
-    record_sqlite(path, seed=0, requests=80)
+    golden_traces.record("export", path)
     return path
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class TestExportDocument:
@@ -46,14 +51,14 @@ class TestExportDocument:
             assert "score" in row["evidence"]
             assert "pairs" in row["evidence"]
 
-    def test_in_memory_and_streaming_exports_byte_identical(self, trace_path):
+    def test_exports_match_golden_digest(self, trace_path):
+        golden = golden_traces.load()["export"]["json"]
         with TraceDatabase(trace_path) as db:
-            in_memory = report_to_json(Analyzer(db).run())
-        with TraceDatabase(trace_path) as db:
-            streamed = report_to_json(
-                StreamingAnalyzer(db, chunk_events=512, jobs=2).run()
-            )
-        assert in_memory == streamed
+            assert _sha(report_to_json(Analyzer(db).run())) == golden
+            for chunk in (1, 7, 1000, None):
+                for jobs in (1, 4):
+                    report = StreamingAnalyzer(db, chunk_events=chunk, jobs=jobs).run()
+                    assert _sha(report_to_json(report)) == golden, (chunk, jobs)
 
     def test_export_is_valid_json_and_stable(self, trace_path):
         with TraceDatabase(trace_path) as db:

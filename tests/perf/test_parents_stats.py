@@ -1,11 +1,14 @@
-"""Direct/indirect parent computation (Figure 4) and general statistics."""
+"""Direct/indirect parents (Figure 4) and general statistics."""
+
+from collections import Counter
 
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.perf.analysis import parents as P
 from repro.perf.analysis import stats as S
+from repro.perf.analysis.callgraph import INDIRECT, build_call_graph, edge_counts
+from repro.perf.analysis.streaming import fold_columns
+from repro.perf.columns import CallColumns
 from repro.perf.events import CallEvent, ECALL, OCALL
 
 
@@ -23,6 +26,15 @@ def call(event_id, kind, name, start, end, thread=1, parent=None):
     )
 
 
+def cols(events):
+    return CallColumns.from_events(events)
+
+
+def indirect_edges(calls):
+    """(indirect parent name, child name) → count, from the call graph."""
+    return edge_counts(build_call_graph(cols(calls)), INDIRECT)
+
+
 class TestFigure4Cases:
     """The four indirect-parent examples of the paper's Figure 4."""
 
@@ -32,8 +44,7 @@ class TestFigure4Cases:
             call(2, ECALL, "E2", 20, 30),
             call(3, ECALL, "E3", 40, 50),
         ]
-        indirect = P.compute_indirect_parents(calls)
-        assert indirect == {2: 1, 3: 2}
+        assert indirect_edges(calls) == {("E1", "E2"): 1, ("E2", "E3"): 1}
 
     def test_case2_ocalls_within_one_ecall_chain(self):
         calls = [
@@ -41,8 +52,8 @@ class TestFigure4Cases:
             call(2, OCALL, "O2", 10, 20, parent=1),
             call(3, OCALL, "O3", 30, 40, parent=1),
         ]
-        indirect = P.compute_indirect_parents(calls)
-        assert indirect == {3: 2}  # only O3 has an indirect parent
+        # Only O3 has an indirect parent.
+        assert indirect_edges(calls) == {("O2", "O3"): 1}
 
     def test_case3_nested_alternating_no_indirect(self):
         calls = [
@@ -50,7 +61,7 @@ class TestFigure4Cases:
             call(2, OCALL, "O2", 10, 90, parent=1),
             call(3, ECALL, "E3", 20, 80, parent=2),
         ]
-        assert P.compute_indirect_parents(calls) == {}
+        assert indirect_edges(calls) == {}
 
     def test_case4_skips_calls_of_other_kind(self):
         calls = [
@@ -58,39 +69,50 @@ class TestFigure4Cases:
             call(2, OCALL, "O2", 10, 20, parent=1),
             call(3, ECALL, "E3", 40, 50),
         ]
-        indirect = P.compute_indirect_parents(calls)
-        assert indirect[3] == 1  # E3's indirect parent is E1, not O2
+        # E3's indirect parent is E1, not O2.
+        assert indirect_edges(calls) == {("E1", "E3"): 1}
 
     def test_threads_do_not_mix(self):
         calls = [
             call(1, ECALL, "E", 0, 10, thread=1),
             call(2, ECALL, "E", 20, 30, thread=2),
         ]
-        assert P.compute_indirect_parents(calls) == {}
+        assert indirect_edges(calls) == {}
 
 
 class TestDirectParentRecomputation:
-    def test_matches_logged_parents(self):
-        calls = [
-            call(1, ECALL, "E1", 0, 100),
-            call(2, OCALL, "O1", 10, 40, parent=1),
-            call(3, ECALL, "E2", 15, 30, parent=2),
-            call(4, OCALL, "O2", 50, 70, parent=1),
-            call(5, ECALL, "E3", 120, 140),
-        ]
-        recomputed = P.recompute_direct_parents(calls)
+    def test_matches_logged_parents(self, tmp_path):
+        """Logged parent ids equal interval containment: per thread, the
+        innermost call whose interval encloses the child's start."""
+        from repro.perf.database import TraceDatabase
+        from repro.workloads.recorders import record_sqlite
+
+        path = str(tmp_path / "sqlite.db")
+        record_sqlite(path, seed=1, requests=10)
+        with TraceDatabase(path) as db:
+            calls = db.calls()
+        assert any(c.parent_id is not None for c in calls)
+        by_thread: dict[int, list] = {}
         for event in calls:
-            assert recomputed[event.event_id] == event.parent_id
+            by_thread.setdefault(event.thread_id, []).append(event)
+        for thread_calls in by_thread.values():
+            thread_calls.sort(key=lambda c: (c.start_ns, -c.end_ns, c.event_id))
+            stack = []
+            for event in thread_calls:
+                while stack and stack[-1].end_ns <= event.start_ns:
+                    stack.pop()
+                assert event.parent_id == (stack[-1].event_id if stack else None)
+                stack.append(event)
 
     def test_gap_to_indirect_parent(self):
         calls = [
-            call(1, ECALL, "E", 0, 10),
-            call(2, ECALL, "E", 17, 30),
+            call(1, ECALL, "E", 0, 4_000),
+            call(2, ECALL, "E", 5_500, 5_600),
         ]
-        indirect = P.compute_indirect_parents(calls)
-        by_id = P.index_by_id(calls)
-        assert P.gap_to_indirect_parent_ns(calls[1], indirect, by_id) == 7
-        assert P.gap_to_indirect_parent_ns(calls[0], indirect, by_id) is None
+        fold = fold_columns(cols(calls))
+        # One E -> E link whose gap is measured from the parent's end
+        # (1.5 us): over the 1 us threshold, within 5/10/20 us.
+        assert fold.merge_counts == {("ecall", "E", "ecall", "E"): [1, 0, 1, 1, 1]}
 
     @given(
         st.lists(
@@ -109,10 +131,12 @@ class TestDirectParentRecomputation:
             start = cursor + gap
             events.append(call(i + 1, ECALL, f"E{i % 3}", start, start + width))
             cursor = start + width
-        indirect = P.compute_indirect_parents(events)
-        by_id = P.index_by_id(events)
-        for child_id, parent_id in indirect.items():
-            assert by_id[parent_id].end_ns <= by_id[child_id].start_ns
+        # Sequential top-level calls: each call's indirect parent is the
+        # one that ended just before it started.
+        expected = Counter(
+            (earlier.name, later.name) for earlier, later in zip(events, events[1:])
+        )
+        assert indirect_edges(events) == dict(expected)
 
 
 class TestStatistics:
@@ -122,8 +146,11 @@ class TestStatistics:
             for i, d in enumerate(durations)
         ]
 
+    def make_columns(self, durations):
+        return cols(self.make_events(durations))
+
     def test_summary_values(self):
-        stats = S.compute_statistics("ecall", "e", self.make_events([100, 200, 300]))
+        stats = S.compute_statistics("ecall", "e", self.make_columns([100, 200, 300]))
         assert stats.count == 3
         assert stats.mean_ns == 200
         assert stats.median_ns == 200
@@ -132,25 +159,25 @@ class TestStatistics:
 
     def test_percentiles_ordered(self):
         stats = S.compute_statistics(
-            "ecall", "e", self.make_events(list(range(1, 101)))
+            "ecall", "e", self.make_columns(list(range(1, 101)))
         )
         assert stats.p90_ns <= stats.p95_ns <= stats.p99_ns <= stats.max_ns
 
     def test_empty_group(self):
-        stats = S.compute_statistics("ecall", "e", [])
+        stats = S.compute_statistics("ecall", "e", CallColumns.empty())
         assert stats.count == 0 and stats.mean_ns == 0.0
 
     def test_execution_durations_subtract_transition_for_ecalls(self):
-        events = self.make_events([5_000, 6_000])
+        events = self.make_columns([5_000, 6_000])
         adjusted = S.execution_durations_ns(events, 2_130)
         assert list(adjusted) == [2_870, 3_870]
 
     def test_execution_durations_clamped_at_zero(self):
-        events = self.make_events([1_000])
+        events = self.make_columns([1_000])
         assert list(S.execution_durations_ns(events, 2_130)) == [0]
 
     def test_ocall_durations_not_adjusted(self):
-        events = [call(1, OCALL, "o", 0, 5_000)]
+        events = cols([call(1, OCALL, "o", 0, 5_000)])
         assert list(S.execution_durations_ns(events, 2_130)) == [5_000]
 
     def test_fraction_shorter_than(self):
@@ -159,17 +186,17 @@ class TestStatistics:
         assert S.fraction_shorter_than(np.array([]), 10) == 0.0
 
     def test_histogram_total_preserved(self):
-        events = self.make_events([10, 20, 30, 40, 50] * 10)
+        events = self.make_columns([10, 20, 30, 40, 50] * 10)
         hist = S.histogram(events, bins=5)
         assert sum(hist.counts) == 50
 
     def test_histogram_render_nonempty(self):
-        events = self.make_events(list(range(100, 200)))
+        events = self.make_columns(list(range(100, 200)))
         text = S.histogram(events, bins=100).render(max_rows=10)
         assert "us |" in text
 
     def test_scatter_series_alignment(self):
-        events = self.make_events([10, 20])
+        events = self.make_columns([10, 20])
         starts, durations = S.scatter_series(events)
         assert list(starts) == [0, 1_000]
         assert list(durations) == [10, 20]
@@ -178,10 +205,5 @@ class TestStatistics:
         events = self.make_events([100] * 5) + [
             call(99, OCALL, "big", 0, 10_000)
         ]
-        stats = S.all_statistics(events)
+        stats = S.all_statistics(cols(events))
         assert stats[0].name == "big"
-
-    def test_group_by_name(self):
-        events = self.make_events([1, 2]) + [call(9, OCALL, "o", 0, 5)]
-        groups = S.group_by_name(events)
-        assert set(groups) == {("ecall", "e"), ("ocall", "o")}

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.perf.analysis import callgraph as CG
-from repro.perf.analysis import security as SEC
+from repro.perf.analysis.detectors import Recommendation
 from repro.perf.analysis.report import Analyzer
+from repro.perf.analysis.streaming import fold_columns
+from repro.perf.columns import CallColumns
 from repro.perf.database import TraceDatabase
 from repro.perf.events import CallEvent, ECALL, OCALL
 from repro.sdk.edl import parse_edl
@@ -38,6 +40,16 @@ def nested_trace():
     return events
 
 
+def nested_columns():
+    return CallColumns.from_events(nested_trace())
+
+
+def hints(events, recommendation, definition=None):
+    """The fold's security findings that carry ``recommendation``."""
+    findings = fold_columns(CallColumns.from_events(events)).security_findings(definition)
+    return [f for f in findings if recommendation in f.recommendations]
+
+
 EDL_WITH_WIDE_ALLOW = """
 enclave {
     trusted {
@@ -54,7 +66,7 @@ enclave {
 
 class TestSecurityAnalysis:
     def test_private_candidate_found(self):
-        findings = SEC.private_ecall_candidates(nested_trace())
+        findings = hints(nested_trace(), Recommendation.MAKE_PRIVATE)
         assert len(findings) == 1
         assert findings[0].call == "ecall_inner"
         assert findings[0].evidence["allowing_ocalls"] == ["ocall_mid"]
@@ -62,28 +74,28 @@ class TestSecurityAnalysis:
     def test_top_level_instance_disqualifies(self):
         events = nested_trace()
         events.append(call(999, ECALL, "ecall_inner", 99_000_000, 99_000_100))
-        assert SEC.private_ecall_candidates(events) == []
+        assert hints(events, Recommendation.MAKE_PRIVATE) == []
 
     def test_allowlist_narrowing_with_edl(self):
         definition = parse_edl(EDL_WITH_WIDE_ALLOW)
-        findings = SEC.allowlist_findings(nested_trace(), definition)
+        findings = hints(nested_trace(), Recommendation.NARROW_ALLOWLIST, definition)
         assert len(findings) == 1
         assert findings[0].call == "ocall_mid"
         assert findings[0].evidence["removable"] == ["ecall_unused"]
         assert findings[0].evidence["observed"] == ["ecall_inner"]
 
     def test_minimal_sets_without_edl(self):
-        findings = SEC.allowlist_findings(nested_trace(), None)
+        findings = hints(nested_trace(), Recommendation.NARROW_ALLOWLIST)
         assert findings[0].evidence["observed"] == ["ecall_inner"]
 
     def test_exact_allowlist_not_flagged(self):
         source = EDL_WITH_WIDE_ALLOW.replace(", ecall_unused)", ")")
         definition = parse_edl(source)
-        assert SEC.allowlist_findings(nested_trace(), definition) == []
+        assert hints(nested_trace(), Recommendation.NARROW_ALLOWLIST, definition) == []
 
     def test_user_check_flagged_with_counts(self):
         definition = parse_edl(EDL_WITH_WIDE_ALLOW)
-        findings = SEC.user_check_findings(definition, nested_trace())
+        findings = hints(nested_trace(), Recommendation.CHECK_POINTERS, definition)
         assert len(findings) == 1
         assert findings[0].call == "ecall_unused"
         assert "user_check" in findings[0].message
@@ -91,7 +103,7 @@ class TestSecurityAnalysis:
 
 class TestCallGraph:
     def test_nodes_and_edge_kinds(self):
-        graph = CG.build_call_graph(nested_trace())
+        graph = CG.build_call_graph(nested_columns())
         assert set(graph.nodes) == {
             "ecall:ecall_outer",
             "ocall:ocall_mid",
@@ -104,14 +116,14 @@ class TestCallGraph:
         assert indirect[("ecall_outer", "ecall_outer")] == 5
 
     def test_dot_output_shapes(self):
-        dot = CG.to_dot(CG.build_call_graph(nested_trace()))
+        dot = CG.to_dot(CG.build_call_graph(nested_columns()))
         assert "shape=box" in dot  # ecalls square
         assert "shape=ellipse" in dot  # ocalls round
         assert "style=solid" in dot and "style=dashed" in dot
         assert 'label="6"' in dot
 
     def test_node_counts(self):
-        graph = CG.build_call_graph(nested_trace())
+        graph = CG.build_call_graph(nested_columns())
         assert graph.nodes["ecall:ecall_outer"]["count"] == 6
 
 

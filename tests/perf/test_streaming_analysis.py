@@ -1,163 +1,120 @@
-"""Streaming analyser equivalence: the in-memory path is the reference twin.
+"""The analyser against golden digests, at every chunk size and job count.
 
 The contract under test: for ANY ``--chunk-events`` / ``--jobs`` setting,
-the streaming analyser's report text, findings and call graph are
-byte-identical to the in-memory analyser's — on seeded traces from all
-four bundled workloads, on fault/serving traces, and on empty traces.
+and for the one-chunk :class:`Analyzer`, the report text, JSON export and
+call graph hash to the digests pinned in ``analysis_goldens.json`` — on
+seeded traces from all four bundled workloads, on a fault/serving trace,
+an EPC-thrash paging trace and an empty trace.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.perf.analysis import callgraph as callgraph_mod
 from repro.perf.analysis.parallel import shard_threads
 from repro.perf.analysis.report import Analyzer
 from repro.perf.analysis.streaming import StreamingAnalyzer
 from repro.perf.cli import main as cli_main
 from repro.perf.database import TraceDatabase, TraceError
-from repro.sdk.edl import parse_edl
+from tests.perf import golden_traces as G
 
-WORKLOADS = ["talos", "sqlite", "glamdring", "securekeeper"]
-CHUNKS = [1, 7, 1000, None]  # None = unbounded (one chunk holds the trace)
-
-
-def _record(name: str, path: str, seed: int = 5) -> None:
-    from repro.workloads import recorders
-
-    sized = {
-        # Small but representative loads: every detector family fires.
-        "talos": lambda: recorders.record_talos(path, seed, requests=60),
-        "sqlite": lambda: recorders.record_sqlite(path, seed, requests=80),
-        "glamdring": lambda: recorders.record_glamdring(path, seed, signs=2),
-        "securekeeper": lambda: recorders.record_securekeeper(path, seed, operations=10),
-    }
-    sized[name]()
+WORKLOADS = list(G.WORKLOADS)
+CHUNKS = [1, 7, 1000, None]  # None = the default batch (one chunk holds these traces)
+SIDE_GOLDENS = ["faulty", "empty", "pressure", "talos+edl"]
 
 
 @pytest.fixture(scope="module")
 def traces(tmp_path_factory) -> dict:
-    root = tmp_path_factory.mktemp("streaming-traces")
+    root = tmp_path_factory.mktemp("golden-traces")
     paths = {}
-    for name in WORKLOADS:
+    for name in G.TRACES:
         paths[name] = str(root / f"{name}.db")
-        _record(name, paths[name])
+        G.record(name, paths[name])
     return paths
 
 
 @pytest.fixture(scope="module")
-def reference(traces) -> dict:
-    """name → (report text, findings, DOT) from the in-memory analyser."""
-    out = {}
-    for name, path in traces.items():
-        with TraceDatabase(path) as db:
-            analyzer = Analyzer(db)
-            report = analyzer.run()
-            out[name] = (
-                report.render_text() + "\n" + report.render_availability(),
-                report.findings,
-                callgraph_mod.to_dot(analyzer.call_graph()),
+def goldens() -> dict:
+    return G.load()
+
+
+def _streaming_digests(traces, golden: str, chunk, jobs: int = 1) -> dict:
+    with TraceDatabase(traces[G.trace_of(golden)]) as db:
+        return G.digests(
+            StreamingAnalyzer(
+                db, definition=G.definition_of(golden), chunk_events=chunk, jobs=jobs
             )
-    return out
-
-
-def _streaming_result(path: str, chunk, jobs: int = 1):
-    with TraceDatabase(path) as db:
-        analyzer = StreamingAnalyzer(db, chunk_events=chunk, jobs=jobs)
-        report = analyzer.run()
-        return (
-            report.render_text() + "\n" + report.render_availability(),
-            report.findings,
-            callgraph_mod.to_dot(analyzer.call_graph()),
         )
+
+
+@pytest.mark.parametrize("golden", G.GOLDENS)
+def test_analyzer_matches_golden(traces, goldens, golden):
+    with TraceDatabase(traces[G.trace_of(golden)]) as db:
+        got = G.digests(Analyzer(db, definition=G.definition_of(golden)))
+    assert got == goldens[golden]
 
 
 @pytest.mark.parametrize("chunk", CHUNKS, ids=lambda c: f"chunk={c or 'inf'}")
 @pytest.mark.parametrize("workload", WORKLOADS)
-def test_streaming_byte_identical(traces, reference, workload, chunk):
-    text, findings, dot = _streaming_result(traces[workload], chunk)
-    ref_text, ref_findings, ref_dot = reference[workload]
-    assert text == ref_text
-    assert findings == ref_findings
-    assert dot == ref_dot
+def test_streaming_byte_identical(traces, goldens, workload, chunk):
+    assert _streaming_digests(traces, workload, chunk) == goldens[workload]
 
 
-# One (workload, chunk) pair per chunk size keeps the spawn-pool cost
-# bounded while still crossing jobs=4 with every chunk size.
+# Only securekeeper records more than one thread, so it is the workload
+# that really shards; the others exercise the one-shard fallback.
 @pytest.mark.parametrize(
     "workload, chunk",
     [("talos", 7), ("sqlite", 1000), ("glamdring", None), ("securekeeper", 1)],
     ids=lambda v: str(v),
 )
-def test_parallel_byte_identical(traces, reference, workload, chunk):
-    text, findings, dot = _streaming_result(traces[workload], chunk, jobs=4)
-    ref_text, ref_findings, ref_dot = reference[workload]
-    assert text == ref_text
-    assert findings == ref_findings
-    assert dot == ref_dot
+def test_parallel_byte_identical(traces, goldens, workload, chunk):
+    assert _streaming_digests(traces, workload, chunk, jobs=4) == goldens[workload]
 
 
-EDL_TEXT = """
-enclave {
-    trusted {
-        public void ecall_handshake([user_check] void *ctx);
-        void ecall_request(void);
-    };
-    untrusted {
-        void ocall_read(void) allow(ecall_request, ecall_handshake);
-    };
-};
-"""
+@pytest.mark.parametrize("jobs", [1, 4], ids=lambda j: f"jobs={j}")
+@pytest.mark.parametrize("chunk", CHUNKS, ids=lambda c: f"chunk={c or 'inf'}")
+@pytest.mark.parametrize("golden", SIDE_GOLDENS)
+def test_side_traces_match_goldens(traces, goldens, golden, chunk, jobs):
+    assert _streaming_digests(traces, golden, chunk, jobs) == goldens[golden]
 
 
-def test_streaming_with_edl_identical(traces):
-    definition = parse_edl(EDL_TEXT)
-    with TraceDatabase(traces["talos"]) as db:
-        ref = Analyzer(db, definition=definition).run()
-        got = StreamingAnalyzer(db, definition=definition, chunk_events=13).run()
-    assert got.render_text() == ref.render_text()
-    assert got.findings == ref.findings
+def test_streaming_with_edl_identical(traces, goldens):
+    assert _streaming_digests(traces, "talos+edl", 13) == goldens["talos+edl"]
 
 
-def test_fault_and_serving_sections_identical(tmp_path):
-    """Fault counts, availability and notes come from the same accumulator."""
-    path = str(tmp_path / "faulty.db")
-    _record("glamdring", path)
-    with TraceDatabase(path) as db:
-        rows = []
-        ts = 1_000
-        for i in range(6):
-            rows.append((10_000 + i, ts + i, 1, 1, "serve:request", "kvstore", f"ok +{90 + i} ns"))
-        rows.append((10_006, ts + 6, 1, 1, "serve:retry", "kvstore", ""))
-        rows.append((10_007, ts + 7, 1, 1, "serve:shed", "kvstore", ""))
-        rows.append((10_008, ts + 8, 1, 2, "serve:failed", "kvstore", ""))
-        rows.append((10_009, ts + 9, 1, 2, "watchdog:deadlock", "", "cycle"))
-        rows.append((10_010, ts + 10, 1, 2, "inject:loss", "", ""))
-        rows.append((10_011, ts + 11, 1, 2, "recover:recreate", "", ""))
-        rows.append((10_012, ts + 12, 1, 2, "recover:retry", "ecall_sign", ""))
-        db.add_fault_rows(rows)
-        db.set_meta("trace_state", "salvaged")
-        db.flush()
-    for chunk in (3, None):
-        with TraceDatabase(path) as db:
-            ref = Analyzer(db).run()
-            got = StreamingAnalyzer(db, chunk_events=chunk).run()
-        assert got.render_text() == ref.render_text()
-        assert got.render_availability() == ref.render_availability()
-        assert got.findings == ref.findings
-        assert got.notes == ref.notes
+def test_fault_and_serving_sections_identical(traces, goldens):
+    """Fault counts, availability and notes come out of the fault rows."""
+    with TraceDatabase(traces["faulty"]) as db:
+        analyzer = Analyzer(db)
+        assert G.digests(analyzer) == goldens["faulty"]
+        report = analyzer.run()
+    assert report.trace_state == "salvaged"
+    assert report.availability[0]["attempted"] == 7
+    assert any("enclave loss" in note for note in report.notes)
 
 
-def test_empty_trace_identical(tmp_path):
-    path = str(tmp_path / "empty.db")
-    with TraceDatabase(path) as db:
-        db.flush()
-    with TraceDatabase(path) as db:
-        ref = Analyzer(db).run()
-        got = StreamingAnalyzer(db).run()
-        par = StreamingAnalyzer(db, jobs=4).run()  # no threads → in-process
-    assert got.render_text() == ref.render_text()
-    assert par.render_text() == ref.render_text()
+def test_empty_trace_identical(traces, goldens):
+    with TraceDatabase(traces["empty"]) as db:
+        par = StreamingAnalyzer(db, jobs=4)  # no threads → in-process
+        assert G.digests(par) == goldens["empty"]
+        assert G.digests(Analyzer(db)) == goldens["empty"]
+
+
+def test_paging_free_trace_reads_no_ecall_intervals(traces, monkeypatch):
+    """The paging pass opens the ecall interval stream at the first paging row."""
+    for name, expected in (("glamdring", 0), ("pressure", 1)):
+        with TraceDatabase(traces[name]) as db:
+            calls = []
+            original = db.ecall_intervals_chunks
+
+            def spy(*args, **kwargs):
+                calls.append(args)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(db, "ecall_intervals_chunks", spy)
+            report = StreamingAnalyzer(db).run()
+        assert len(calls) == expected
+        assert (report.paging_events > 0) == bool(expected)
 
 
 # -- satellite: count fast paths ------------------------------------------
@@ -318,16 +275,14 @@ def test_live_top_counters_match_trace(tmp_path):
 def test_cli_streaming_flags_match(traces, capsys):
     path = traces["securekeeper"]
     assert cli_main(["analyze", path]) == 0
-    in_memory = capsys.readouterr()
+    default = capsys.readouterr()
     assert cli_main(["analyze", path, "--chunk-events", "11"]) == 0
     chunked = capsys.readouterr()
-    assert cli_main(["analyze", path, "--streaming"]) == 0
-    unbounded = capsys.readouterr()
-    assert chunked.out == in_memory.out
-    assert unbounded.out == in_memory.out
+    assert chunked.out == default.out
     # Pre-analysis sizing line goes to stderr, report to stdout.
-    assert "calls" in in_memory.err and "in-memory" in in_memory.err
-    assert "streaming (jobs=1" in chunked.err
+    assert "190 calls" in default.err
+    assert "jobs=1, chunk-events=65536" in default.err
+    assert "jobs=1, chunk-events=11" in chunked.err
 
 
 def test_cli_top(capsys):
