@@ -45,7 +45,7 @@ class CallColumns:
     ordering convention: ``(start_ns, event_id)`` ascending.
     """
 
-    __slots__ = CALL_COLUMN_NAMES + ("_id_order", "_group_cache")
+    __slots__ = CALL_COLUMN_NAMES + ("_id_order",)
 
     def __init__(
         self,
@@ -73,7 +73,6 @@ class CallColumns:
         self.parent_id = parent_id
         self.is_sync = is_sync
         self._id_order: Optional[tuple[np.ndarray, np.ndarray]] = None
-        self._group_cache: Optional[list[tuple[tuple[str, str], np.ndarray]]] = None
 
     # -- construction --------------------------------------------------------
 
@@ -188,24 +187,6 @@ class CallColumns:
         return np.where(found, order[pos_clipped], np.int64(-1))
 
     # -- grouping ------------------------------------------------------------
-
-    def group_indices(self) -> list[tuple[tuple[str, str], np.ndarray]]:
-        """``((kind, name), row indices)`` per distinct call, in
-        first-appearance order (matching dict-insertion semantics of the
-        event-based grouping)."""
-        if self._group_cache is not None:
-            return self._group_cache
-        if len(self) == 0:
-            self._group_cache = []
-            return self._group_cache
-        codes, keys = self.group_codes()
-        order = np.argsort(codes, kind="stable")
-        boundaries = np.flatnonzero(np.diff(codes[order])) + 1
-        # Stable argsort keeps original order within a group, so bucket[0]
-        # is each group's first appearance in the trace.
-        buckets = sorted(np.split(order, boundaries), key=lambda b: int(b[0]))
-        self._group_cache = [(keys[int(codes[b[0]])], b) for b in buckets]
-        return self._group_cache
 
     def group_codes(self) -> tuple[np.ndarray, list[tuple[str, str]]]:
         """Per-row group code and the code → ``(kind, name)`` table."""

@@ -11,7 +11,11 @@ ocall the SGX SDK model emits — fully deterministic.
 Simulated threads are backed by real OS threads purely as a coroutine
 mechanism (so workload code does not need to be written as generators);
 the global-turn discipline means there is no actual parallelism and no data
-races.
+races.  There is no scheduler thread: the thread giving up the turn picks
+its successor itself and wakes it by releasing that thread's lock, so one
+turn costs one OS-thread wake-up.  :meth:`Simulation.run` only starts the
+first turn and sleeps until a thread ends the run (all non-daemon threads
+done, a thread raised, or nothing can run), then unwinds what is left.
 
 Single-threaded convenience: a :class:`Simulation` can also be used *inline*
 without spawning any thread.  ``sim.compute(...)`` then simply advances the
@@ -28,6 +32,7 @@ reference implementation for the scheduler benchmark.
 
 from __future__ import annotations
 
+import _thread
 import heapq
 import threading
 from typing import Any, Callable, Optional
@@ -99,7 +104,10 @@ class SimThread:
         # Push id of this thread's only live run-queue entry (0 = none);
         # see Simulation._runq_push.
         self._rq_entry = 0
-        self._go = threading.Event()
+        # Held while the thread has no turn: _resume releases it and
+        # _wait_for_turn acquires it again.
+        self._go = _thread.allocate_lock()
+        self._go.acquire()
         self._os_thread: Optional[threading.Thread] = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -121,20 +129,19 @@ class SimThread:
             self.state = _DONE
             self._sim._on_thread_done(self)
 
-    # -- scheduling primitives (called with the sim lock conventions) ------
+    # -- scheduling primitives -----------------------------------------------
 
     def _resume(self) -> None:
-        """Scheduler side: hand the turn to this thread."""
+        """Hand the turn to this thread (called by whoever gives it up)."""
         self.state = _RUNNING
         if self._os_thread is None:
             self._start_os_thread()
         else:
-            self._go.set()
+            self._go.release()
 
     def _wait_for_turn(self) -> None:
-        """Thread side: sleep until the scheduler hands us the turn."""
-        self._go.wait()
-        self._go.clear()
+        """Thread side: sleep until another thread hands us the turn."""
+        self._go.acquire()
         if self._killed:
             raise _ThreadKilled()
 
@@ -184,7 +191,11 @@ class Simulation:
         self._next_tid = 1
         self._seq = 0
         self._current: Optional[SimThread] = None
-        self._sched_event = threading.Event()
+        # run() sleeps on this lock (held between runs) until a thread ends
+        # the run, leaving in _failure what run() re-raises.
+        self._run_done = _thread.allocate_lock()
+        self._run_done.acquire()
+        self._failure: Optional[BaseException] = None
         self._futexes: dict[Any, list[SimThread]] = {}
         self._running = False
         self._exit_hooks: list[Callable[[SimThread], None]] = []
@@ -195,7 +206,7 @@ class Simulation:
         self._runq: list[tuple[int, int, int, SimThread]] = []
         self._runq_push_id = 0
         # Maintained count of live non-daemon threads, replacing the
-        # per-turn _live_non_daemon() list rebuild on the run() hot loop.
+        # per-turn _live_non_daemon() list rebuild on the handoff path.
         self._live_non_daemon_count = 0
 
     # -- bookkeeping --------------------------------------------------------
@@ -328,78 +339,112 @@ class Simulation:
         )
         return DeadlockError("no runnable thread; blocked: " + details)
 
+    def _schedule(self) -> None:
+        """Hand the turn to the next thread, or end the run.
+
+        Runs on the thread giving up the turn (on :meth:`run` for the first
+        turn): pops the run queue, expires a timed wait, advances the clock
+        and wakes the successor.  If no non-daemon thread is live, or
+        nothing can run, it wakes :meth:`run` instead.  The successor (or
+        ``run()``) may start at once, so the caller must touch no shared
+        state after this returns.
+        """
+        if self._use_heap:
+            if self._live_non_daemon_count <= 0:
+                return self._end_run(None)
+            nxt = self._runq_pop()
+        else:
+            if not self._live_non_daemon():
+                return self._end_run(None)
+            nxt = self._pick_next()
+        if nxt is None:
+            return self._end_run(self._deadlock())
+        if nxt.state == _BLOCKED:
+            self._expire_timed_wait(nxt)
+        self.clock.advance_to(nxt.wake_time)
+        self._current = nxt
+        nxt._resume()
+
+    def _end_run(self, failure: Optional[BaseException]) -> None:
+        """Wake :meth:`run`, which re-raises ``failure`` unless it is ``None``."""
+        self._failure = failure
+        self._run_done.release()
+
     def run(self) -> None:
         """Drive the simulation until all non-daemon threads complete.
 
         Daemon threads still alive at that point are killed.  If a thread
-        raised, its exception is re-raised here.
+        raised, its exception is re-raised here; if every live thread is
+        blocked with nobody left to wake it, :class:`DeadlockError` is.
         """
         if self._running:
             raise SimulationError("simulation is already running")
         self._running = True
-        use_heap = self._use_heap
         try:
-            while (
-                self._live_non_daemon_count > 0
-                if use_heap
-                else self._live_non_daemon()
-            ):
-                nxt = self._runq_pop() if use_heap else self._pick_next()
-                if nxt is None:
-                    raise self._deadlock()
-                if nxt.state == _BLOCKED:
-                    self._expire_timed_wait(nxt)
-                self.clock.advance_to(nxt.wake_time)
-                self._current = nxt
-                self._sched_event.clear()
-                nxt._resume()
-                self._sched_event.wait()
-                self._current = None
-                if nxt.state == _DONE and nxt.exception is not None:
-                    raise nxt.exception
+            self._schedule()
+            self._run_done.acquire()
+            failure, self._failure = self._failure, None
+            if failure is not None:
+                raise failure
         finally:
-            self._kill_remaining()
-            self._running = False
             self._current = None
+            self._kill_remaining()
+            # A finished thread's OS thread may still be returning from its
+            # last handoff; no OS thread of this run outlives run().
+            for thread in self._threads:
+                if thread._os_thread is not None:
+                    thread._os_thread.join()
+            self._running = False
 
     def _kill_remaining(self) -> None:
+        """Unwind every live thread, one at a time."""
         for thread in self._threads:
-            if thread.is_alive and thread._os_thread is not None:
+            if not thread.is_alive:
+                continue
+            thread._rq_entry = 0
+            if thread._os_thread is not None:
                 thread._killed = True
-                self._sched_event.clear()
-                thread._go.set()
-                self._sched_event.wait()
-            elif thread.is_alive:
+                thread._go.release()
+                self._run_done.acquire()
+            else:
                 thread.state = _DONE
-                thread._rq_entry = 0
-                self._note_thread_done(thread)
-                self._run_exit_hooks(thread)
+                self._finish(thread)
 
     def on_thread_exit(self, hook: Callable[[SimThread], None]) -> None:
         """Register a callback fired when any simulated thread finishes.
 
         Runs on the finishing thread, while it still holds the turn — safe
         for per-thread bookkeeping cleanup (the URTS reclaims its call-stack
-        and event state here).  Hooks must not block or consume time.
+        and event state here).  Hooks must not block or consume time.  A
+        hook that raises fails the thread it ran for, as if the thread had
+        raised (unless the thread had already failed).
         """
         self._exit_hooks.append(hook)
 
-    def _run_exit_hooks(self, thread: SimThread) -> None:
-        for hook in self._exit_hooks:
-            hook(thread)
-
-    def _note_thread_done(self, thread: SimThread) -> None:
+    def _finish(self, thread: SimThread) -> None:
+        """Count ``thread`` out and run the exit hooks on it."""
         if not thread.daemon:
             self._live_non_daemon_count -= 1
+        try:
+            for hook in self._exit_hooks:
+                hook(thread)
+        except BaseException as exc:  # noqa: BLE001 - becomes the thread's failure
+            if thread.exception is None:
+                thread.exception = exc
 
     def _on_thread_done(self, thread: SimThread) -> None:
-        self._note_thread_done(thread)
-        self._run_exit_hooks(thread)
-        self._sched_event.set()
+        """Thread side, the finishing thread's last act: pass the turn on."""
+        self._finish(thread)
+        if thread._killed:
+            self._run_done.release()
+        elif thread.exception is not None:
+            self._end_run(thread.exception)
+        else:
+            self._schedule()
 
     def _yield_turn(self, thread: SimThread) -> None:
-        """Thread side: give the turn back and wait to be rescheduled."""
-        self._sched_event.set()
+        """Thread side: hand the turn on and sleep until it comes back."""
+        self._schedule()
         thread._wait_for_turn()
 
     # -- primitives available to simulated threads (and inline) -------------

@@ -74,7 +74,6 @@ class TestColumnarReaders:
         assert db.durations_ns().shape == (0,)
         assert db.starts_ns(kind=ECALL).shape == (0,)
         assert db.call_summary() == []
-        assert db.call_columns().group_indices() == []
 
     def test_indexes_deferred_until_first_read(self):
         db = _populated_db()
@@ -136,21 +135,21 @@ class TestCallColumns:
         got = cols.positions_of(np.array([2, 9, 5, 7, NO_PARENT]))
         np.testing.assert_array_equal(got, [1, 2, 0, -1, -1])
 
-    def test_group_indices_first_appearance_order(self):
+    def test_group_codes_table(self):
         events = [
             _event(1, ECALL, "zz"),
             _event(2, ECALL, "aa"),
             _event(3, ECALL, "zz"),
             _event(4, OCALL, "mm"),
         ]
-        cols = CallColumns.from_events(events)
-        groups = cols.group_indices()
-        assert [key for key, _ in groups] == [
+        codes, keys = CallColumns.from_events(events).group_codes()
+        assert [keys[c] for c in codes] == [
             (ECALL, "zz"),
             (ECALL, "aa"),
+            (ECALL, "zz"),
             (OCALL, "mm"),
         ]
-        np.testing.assert_array_equal(groups[0][1], [0, 2])
+        assert len(keys) == 3 and codes[0] == codes[2]
 
     def test_select_and_duration(self):
         cols = CallColumns.from_events([_event(1, dur=10), _event(2, dur=20), _event(3, dur=30)])
